@@ -11,7 +11,7 @@ from fractions import Fraction
 
 from . import ccma
 from .gf import factor_prime_power, prime_field, canonical_extension
-from .function_field import best_stat_curves, BudgetExceededError
+from .function_field import best_stat_curves, BudgetExceededError, UnsupportedDivisorError
 
 CONSTRUCT_SIZE_LIMIT = 512   # try explicit formulas only when q^n is this small
 CATALOG_Q_LIMIT = 64
@@ -38,8 +38,11 @@ class BoundCertificate:
         self.flag = flag
         self.formula = formula
         if method == "composition":
-            assert value == self.children[0].value * self.children[1].value
-            assert n == self.children[0].n * self.children[1].n
+            a, b = self.children
+            if value != a.value * b.value or n != a.n * b.n:
+                raise ccma.VerificationError(
+                    "composition certificate %d(%d) does not multiply %d(%d) * %d(%d)"
+                    % (value, n, a.value, a.n, b.value, b.n))
 
     def to_dict(self):
         d = {"q": self.q, "n": self.n, "value": self.value, "method": self.method,
@@ -178,6 +181,10 @@ def best_bound(q, n, depth=2, construct="auto"):
     reconstructs the value.  Exact values short-circuit: nothing in scope may
     beat them, by the known lower bound 2n-1 and the solved ranges."""
     factor_prime_power(q)
+    if n < 1:
+        raise ValueError("extension degree must be >= 1")
+    if depth < 0:
+        raise ValueError("recursion depth must be >= 0")
     if depth > 3:
         raise ValueError("recursion depth capped at 3")
     if construct == "auto":
@@ -245,7 +252,7 @@ def _nonspecial_available(entry):
     try:
         entry.curve.find_nonspecial_divisor()
         return True
-    except Exception:
+    except (UnsupportedDivisorError, BudgetExceededError):
         return False
 
 

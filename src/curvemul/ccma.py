@@ -42,6 +42,14 @@ class TowerMismatchError(ValueError):
     """Composition of formulas over incompatible towers."""
 
 
+class VerificationError(RuntimeError):
+    """A formula the library built failed its own postcondition.
+
+    Deliberately neither a ConstructionError (callers treat those as "try the
+    next candidate") nor a ValueError (bad input): it signals a library bug.
+    """
+
+
 class VerificationReport:
     __slots__ = ("passed", "mode", "pairs_checked", "first_failure", "seed")
 
@@ -146,13 +154,19 @@ def identity_formula(tower):
 def verify(formula, mode="auto", pairs=DEFAULT_SAMPLES, seed=0):
     """Check x*y == formula(x, y).
 
-    mode 'exhaustive' sweeps all q^(2n) pairs and refuses when q^n > 256;
-    mode 'sampled' checks `pairs` seeded random pairs; 'auto' picks whichever
-    is affordable.  Failures are reported, not raised.
+    mode 'tensor' proves the identity for every (q, n): both sides are
+    symmetric and F_q-bilinear, so it suffices to check the n(n+1)/2 basis
+    pairs e_j*e_k with j <= k.  Mode 'exhaustive' sweeps all q^(2n) pairs and
+    refuses when q^n > 256; mode 'sampled' checks `pairs` seeded random
+    pairs; 'auto' picks whichever of these two is affordable.  The scans are
+    independent cross-checks of the proof.  Failures are reported, not
+    raised; a failure names a concrete pair (x, y) by element indices.
     """
     E = formula.tower.ext_field
     if mode == "auto":
         mode = "exhaustive" if E.size <= EXHAUSTIVE_LIMIT else "sampled"
+    if mode == "tensor":
+        return _verify_tensor(formula)
     if mode == "exhaustive":
         if E.size > EXHAUSTIVE_LIMIT:
             raise ValueError("exhaustive verification refused for q^n > %d" % EXHAUSTIVE_LIMIT)
@@ -160,6 +174,39 @@ def verify(formula, mode="auto", pairs=DEFAULT_SAMPLES, seed=0):
     if mode == "sampled":
         return _verify_sampled(formula, pairs, seed)
     raise ValueError("unknown mode %r" % (mode,))
+
+
+def _basis(tower):
+    """The power basis e_0 .. e_(n-1) of F_(q^n) over F_q, as raw values."""
+    Fq, n = tower.base_field, tower.n
+    return [tuple(Fq.one_index if i == j else 0 for i in range(n)) for j in range(n)]
+
+
+def _basis_products(tower):
+    """{(j, k): e_j * e_k} for the basis pairs j <= k, in row-major order:
+    the right-hand side of the multiplication tensor."""
+    basis = _basis(tower)
+    vmul = tower.ext_field.vmul
+    return {(j, k): vmul(basis[j], basis[k])
+            for j in range(len(basis)) for k in range(j, len(basis))}
+
+
+def _verify_tensor(formula):
+    tower = formula.tower
+    Fq, E = tower.base_field, tower.ext_field
+    fadd, fmul = Fq.add, Fq.mul
+    basis = _basis(tower)
+    products = _basis_products(tower)
+    for checked, ((j, k), want) in enumerate(products.items(), 1):
+        acc = (0,) * len(want)
+        for xs, c in formula.terms:
+            s = fmul(xs[j], xs[k])
+            if s:
+                acc = tuple(fadd(a, fmul(s, cc)) for a, cc in zip(acc, c))
+        if acc != want:
+            return VerificationReport(False, "tensor", checked,
+                                      first_failure=(E.index_of(basis[j]), E.index_of(basis[k])))
+    return VerificationReport(True, "tensor", len(products))
 
 
 def _verify_exhaustive(formula):
@@ -340,24 +387,30 @@ def quadratic_formula(q):
     f = _QUAD_CACHE.get(q)
     if f is None:
         f = construct_case1(q, 2)
-        assert f.rank == 3
+        if f.rank != 3:
+            raise VerificationError("quadratic formula over GF(%d) has rank %d, not 3"
+                                    % (q, f.rank))
         _QUAD_CACHE[q] = f
     return f
 
 
-def construct_case1(q, n, curve=None, verify_mode="auto", pairs=DEFAULT_SAMPLES, seed=0):
+def construct_case1(q, n, curve=None, verify_mode="tensor", pairs=DEFAULT_SAMPLES, seed=0):
     """Rank <= 2n+g-1 formula using degree-1 evaluation places only.
 
     Requires N1 > 2n + 2g - 2 on the chosen curve (genus-0 line by default).
+    The result is checked with verify(formula, verify_mode, pairs, seed)
+    before it is returned; the default 'tensor' mode is a proof.  A failed
+    check raises VerificationError.
     """
     return _construct(q, n, curve, case=1, verify_mode=verify_mode, pairs=pairs, seed=seed)
 
 
-def construct_case3(q, n, curve=None, verify_mode="auto", pairs=DEFAULT_SAMPLES, seed=0):
+def construct_case3(q, n, curve=None, verify_mode="tensor", pairs=DEFAULT_SAMPLES, seed=0):
     """Rank <= 3n+6g formula using degree-1 and degree-2 evaluation places.
 
     Requires N1 + 2 N2 > 2n + 4g - 2; each degree-2 place costs three
-    multiplications through the canonical F_(q^2)/F_q formula.
+    multiplications through the canonical F_(q^2)/F_q formula.  Checked
+    before it is returned, as in construct_case1.
     """
     return _construct(q, n, curve, case=3, verify_mode=verify_mode, pairs=pairs, seed=seed)
 
@@ -411,9 +464,11 @@ def _construct(q, n, curve, case, verify_mode, pairs, seed):
             if formula is None:
                 continue
             bound = 2 * n + g - 1 if case == 1 else 3 * n + 6 * g
-            assert formula.rank <= bound, "rank %d exceeds theorem bound %d" % (formula.rank, bound)
+            if formula.rank > bound:
+                raise VerificationError("rank %d exceeds theorem bound %d" % (formula.rank, bound))
             report = verify(formula, verify_mode, pairs=pairs, seed=seed)
-            assert report.passed, "constructed formula failed verification: %r" % (report,)
+            if not report.passed:
+                raise VerificationError("constructed formula failed verification: %r" % (report,))
             return formula
     raise ConstructionError("no full-rank evaluation set found after exhausting candidates",
                             best_rank=best_rank_seen)
@@ -571,13 +626,13 @@ def _identify_residue(tower, curve, Q, value):
 # composition
 # ---------------------------------------------------------------------------
 
-def compose(outer, inner, verify_mode="auto", pairs=DEFAULT_SAMPLES, seed=0):
+def compose(outer, inner, verify_mode="tensor", pairs=DEFAULT_SAMPLES, seed=0):
     """Formula for F_(q^(nm))/F_q from formulas for F_(q^n)/F_q and
     F_((q^n)^m)/F_(q^n); the rank multiplies.
 
     The composed formula lives on the flattened canonical tower; the stacked
     field is identified with it through explicit roots of the defining
-    polynomials.
+    polynomials.  The result is checked as in construct_case1.
     """
     E = outer.tower.ext_field
     if inner.tower.base_field is not E:
@@ -667,9 +722,12 @@ def compose(outer, inner, verify_mode="auto", pairs=DEFAULT_SAMPLES, seed=0):
             "inner": inner.provenance.get("method"), "inner_n": m,
             "rank": len(terms)}
     out = SymmetricBilinearFormula(composed_tower, terms, prov)
-    assert out.rank == outer.rank * inner.rank
+    if out.rank != outer.rank * inner.rank:
+        raise VerificationError("composed rank %d is not %d * %d"
+                                % (out.rank, outer.rank, inner.rank))
     report = verify(out, verify_mode, pairs=pairs, seed=seed)
-    assert report.passed, "composed formula failed verification: %r" % (report,)
+    if not report.passed:
+        raise VerificationError("composed formula failed verification: %r" % (report,))
     return out
 
 
@@ -688,7 +746,7 @@ def brute_force_symmetric_rank(q, n, max_rank):
     max_rank + 1).
     """
     tower = FieldTower.canonical(q, n)
-    Fq, E = tower.base_field, tower.ext_field
+    Fq = tower.base_field
     nforms = (q ** n - 1) // (q - 1)
     if (nforms ** max_rank) * ((q ** n - 1) ** max_rank) > 10 ** 9:
         raise BudgetExceededError("brute-force search space exceeds budget")
@@ -698,12 +756,8 @@ def brute_force_symmetric_rank(q, n, max_rank):
         lead = next(i for i, v in enumerate(vec) if v)
         if vec[lead] == Fq.one_index:
             forms.append(vec)
-    pairs = [(j, k) for j in range(n) for k in range(j, n)]
-    rhs = {}
-    for (j, k) in pairs:
-        ej = tuple(Fq.one_index if i == j else 0 for i in range(n))
-        ek = tuple(Fq.one_index if i == k else 0 for i in range(n))
-        rhs[(j, k)] = E.vmul(ej, ek)
+    rhs = _basis_products(tower)
+    pairs = list(rhs)
     for r in range(1, max_rank + 1):
         for combo in itertools.combinations(forms, r):
             mat = []
@@ -744,23 +798,42 @@ def formula_to_dict(f):
     }
 
 
+def _index_list(value, bound, what):
+    """A JSON list of element indices in range(bound), as a tuple."""
+    if not (isinstance(value, list)
+            and all(type(v) is int and 0 <= v < bound for v in value)):
+        raise ValueError("bad %s in formula file" % what)
+    return tuple(value)
+
+
 def formula_from_dict(data):
+    """Inverse of formula_to_dict.  Anything that is not a well-formed formula
+    raises ValueError, or KeyError for a missing key."""
+    if not isinstance(data, dict):
+        raise ValueError("formula file must hold a JSON object")
     p = data["p"]
+    if type(p) is not int or not 2 <= p <= gf.SCAN_LIMIT:
+        raise ValueError("bad characteristic in formula file")
     pf = prime_field(p)
     base_poly = None
     bf = pf
     if data["base_poly"] is not None:
-        base_poly = Polynomial._from_raw(pf, tuple(data["base_poly"]))
+        base_poly = Polynomial._from_raw(pf, _index_list(data["base_poly"], p, "base polynomial"))
         bf = gf.extension(pf, base_poly.coeffs)
-    ext_poly = Polynomial._from_raw(bf, tuple(data["ext_poly"]))
+    ext_poly = Polynomial._from_raw(bf, _index_list(data["ext_poly"], bf.size,
+                                                    "extension polynomial"))
     tower = FieldTower(p, base_poly, ext_poly)
     E = tower.ext_field
+    if not isinstance(data["terms"], list) or not isinstance(data["provenance"], dict):
+        raise ValueError("bad term list or provenance in formula file")
     terms = []
     for t in data["terms"]:
-        xs = tuple(t["x_star"])
-        if len(xs) != tower.n or not all(isinstance(v, int) and 0 <= v < bf.size for v in xs):
+        if not isinstance(t, dict):
+            raise ValueError("bad term in formula file")
+        xs = _index_list(t["x_star"], bf.size, "linear form")
+        if len(xs) != tower.n:
             raise ValueError("bad linear form in formula file")
-        if not (isinstance(t["c"], int) and 0 <= t["c"] < E.size):
+        if not (type(t["c"]) is int and 0 <= t["c"] < E.size):
             raise ValueError("bad constant in formula file")
         terms.append((xs, E.value_of(t["c"])))
     f = SymmetricBilinearFormula(tower, terms, data["provenance"])

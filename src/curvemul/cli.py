@@ -81,8 +81,7 @@ def cmd_construct(args):
     for case, builder in cases:
         for g, curve in attempts:
             try:
-                formula = builder(args.q, args.n, curve,
-                                  verify_mode=args.mode, pairs=args.pairs, seed=args.seed)
+                formula = builder(args.q, args.n, curve)
                 break
             except ccma.ConstructionError as e:
                 reasons.append("case%d genus%d: %s" % (case, g, e))
@@ -268,7 +267,7 @@ def main(argv=None):
     except (ValueError, gf.LevelMismatchError) as e:
         _emit(status="bad-input", detail=e)
         return EXIT_INPUT
-    except AssertionError as e:
+    except ccma.VerificationError as e:
         _emit(status="verify-failed", detail=e)
         return EXIT_VERIFY
 

@@ -205,29 +205,15 @@ def _raw_from_int(F, k, length):
 def is_irreducible_raw(F, coeffs):
     """Deterministic irreducibility test for a polynomial over F.
 
-    Trial division by all monic polynomials of degree <= d/2 when that scan
-    is small; otherwise an exact distinct-degree sieve: f of degree d is
-    irreducible iff gcd(x^(q^k) - x, f) = 1 for all k <= d/2 (any proper
-    factorization contains a factor of degree <= d/2).  No randomness.
+    The distinct-degree gcd test (Rabin, "Probabilistic algorithms in finite
+    fields", SIAM J. Comput. 1980): f of degree d is irreducible iff
+    gcd(x^(q^k) - x, f) = 1 for all k <= d/2, since any proper factorization
+    contains a factor of degree <= d/2.  No randomness.
     """
     d = len(coeffs) - 1
     if d <= 0:
         return False
     if d == 1:
-        return True
-    if coeffs[0] == 0:
-        return False  # divisible by x
-    # degree 2 and 3 are reducible iff they have a root
-    if d <= 3:
-        return all(_peval(F, coeffs, x) for x in range(F.size))
-    if F.size ** (d // 2) <= 4096:
-        if any(_peval(F, coeffs, x) == 0 for x in range(F.size)):
-            return False
-        for dd in range(2, d // 2 + 1):
-            for k in range(F.size ** dd):
-                div = _raw_from_int(F, k, dd) + [F.one_index]
-                if not _pmod(F, coeffs, div):
-                    return False
         return True
     x = [0, F.one_index]
     q = F.size

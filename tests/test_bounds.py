@@ -251,7 +251,7 @@ def test_round2_half_up():
 
 
 def test_composition_certificate_invariant():
-    with pytest.raises(AssertionError):
+    with pytest.raises(ccma.VerificationError):
         bounds.BoundCertificate(2, 4, 10, "composition",
                                 children=(bounds.best_bound(2, 2), bounds.best_bound(4, 2)))
 

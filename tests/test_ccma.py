@@ -1,6 +1,11 @@
+import functools
 import json
+import os
+import subprocess
+import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from curvemul import ccma, gf
 from curvemul.gf import FieldTower, prime_field, canonical_extension, find_irreducible
@@ -97,14 +102,33 @@ def test_theorem_bound_postcondition():
         assert f.rank <= bound
 
 
-def test_verify_detects_corruption():
-    f = ccma.construct_case1(2, 2)
+def corrupt_constant(f):
+    """f with one coordinate of its first constant shifted by one."""
     E = f.tower.ext_field
     bad_c = list(f.terms[0][1])
     bad_c[0] = E.base.add(bad_c[0], E.base.one_index)
     terms = ((f.terms[0][0], tuple(bad_c)),) + f.terms[1:]
-    corrupted = ccma.SymmetricBilinearFormula(f.tower, terms, f.provenance)
-    rep = ccma.verify(corrupted, "exhaustive")
+    return ccma.SymmetricBilinearFormula(f.tower, terms, f.provenance)
+
+
+def corrupt_off_diagonal(f):
+    """f plus three terms that cancel on every e_j*e_j but add c on e_0*e_1."""
+    Fq, n = f.tower.base_field, f.tower.n
+    c = f.terms[0][1]
+    minus_c = tuple(Fq.neg(v) for v in c)
+
+    def form(*support):
+        return tuple(Fq.one_index if i in support else 0 for i in range(n))
+
+    extra = ((form(0, 1), c), (form(0), minus_c), (form(1), minus_c))
+    return ccma.SymmetricBilinearFormula(f.tower, f.terms + extra, f.provenance)
+
+
+@pytest.mark.parametrize("mode", ["exhaustive", "tensor"])
+def test_verify_detects_corruption(mode):
+    corrupted = corrupt_constant(ccma.construct_case1(2, 2))
+    E = corrupted.tower.ext_field
+    rep = ccma.verify(corrupted, mode)
     assert not rep.passed and rep.first_failure is not None
     ix, iy = rep.first_failure
     x, y = E.from_index(ix), E.from_index(iy)
@@ -242,14 +266,119 @@ def test_compose_chains_three_levels():
     assert rep.passed and rep.pairs_checked == 65536
 
 
-def test_verify_detects_xstar_corruption():
+@pytest.mark.parametrize("mode", ["exhaustive", "tensor"])
+def test_verify_detects_xstar_corruption(mode):
     f = ccma.construct_case1(3, 2)
     Fq = f.tower.base_field
     xs = list(f.terms[0][0])
     xs[0] = Fq.add(xs[0], Fq.one_index)
     terms = ((tuple(xs), f.terms[0][1]),) + f.terms[1:]
     corrupted = ccma.SymmetricBilinearFormula(f.tower, terms, f.provenance)
-    assert not ccma.verify(corrupted, "exhaustive").passed
+    assert not ccma.verify(corrupted, mode).passed
+
+
+def _elliptic_4_4():
+    F4 = canonical_extension(prime_field(2), 2)
+    return ccma.construct_case1(4, 4, curve_search(F4, 9)[0].curve)
+
+
+def _elliptic_3_3():
+    from curvemul.function_field import best_stat_curves
+    return ccma.construct_case1(3, 3, best_stat_curves(prime_field(3))[0].curve)
+
+
+def _identity_composed():
+    F4 = canonical_extension(prime_field(2), 2)
+    ident_tower = FieldTower(2, find_irreducible(prime_field(2), 2), find_irreducible(F4, 1))
+    return ccma.compose(ccma.construct_case1(2, 2), ccma.identity_formula(ident_tower))
+
+
+def _three_levels():
+    step1 = ccma.compose(ccma.construct_case1(2, 2), ccma.construct_case1(4, 2))
+    return ccma.compose(step1, ccma.construct_case1(16, 2))
+
+
+SMALL_FORMULAS = {
+    "schoolbook-2-3": lambda: schoolbook_formula(2, 3),
+    "schoolbook-4-2": lambda: schoolbook_formula(4, 2),
+    "case1-2-2": lambda: ccma.construct_case1(2, 2),
+    "case1-3-2": lambda: ccma.construct_case1(3, 2),
+    "case1-4-3": lambda: ccma.construct_case1(4, 3),
+    "case1-16-2": lambda: ccma.construct_case1(16, 2),
+    "case3-2-3": lambda: ccma.construct_case3(2, 3),
+    "case3-3-3": lambda: ccma.construct_case3(3, 3),
+    "case3-4-4": lambda: ccma.construct_case3(4, 4),
+    "elliptic-4-4": _elliptic_4_4,
+    "elliptic-3-3": _elliptic_3_3,
+    "compose-2-4": lambda: ccma.compose(ccma.construct_case1(2, 2), ccma.construct_case1(4, 2)),
+    "compose-3-4": lambda: ccma.compose(ccma.construct_case1(3, 2), ccma.construct_case1(9, 2)),
+    "compose-identity": _identity_composed,
+    "compose-2-8": _three_levels,
+}
+
+
+@pytest.mark.parametrize("name", sorted(SMALL_FORMULAS))
+def test_tensor_agrees_with_exhaustive(name):
+    # the basis-pair proof and the full sweep must give the same verdict, on
+    # every q^n <= 256 formula and on two corrupted copies of it
+    f = SMALL_FORMULAS[name]()
+    assert f.tower.ext_field.size <= ccma.EXHAUSTIVE_LIMIT
+    for g, expected in ((f, True), (corrupt_constant(f), False),
+                        (corrupt_off_diagonal(f), False)):
+        tensor = ccma.verify(g, "tensor")
+        assert tensor.passed is ccma.verify(g, "exhaustive").passed is expected
+        n = g.tower.n
+        assert tensor.pairs_checked <= n * (n + 1) // 2
+
+
+def test_construct_raises_on_corrupted_formula(monkeypatch):
+    original = ccma._attempt
+
+    def attempt(*args):
+        formula, achieved = original(*args)
+        return (formula and corrupt_constant(formula)), achieved
+
+    monkeypatch.setattr(ccma, "_attempt", attempt)
+    with pytest.raises(ccma.VerificationError):
+        ccma.construct_case1(2, 2)
+
+
+OPTIMIZED_SCRIPT = """
+import sys
+from curvemul import ccma
+original = ccma._attempt
+
+def attempt(*args):
+    formula, achieved = original(*args)
+    if formula is not None:
+        (xs, c), rest = formula.terms[0], formula.terms[1:]
+        Fq = formula.tower.base_field
+        bad = (Fq.add(c[0], Fq.one_index),) + tuple(c[1:])
+        formula = ccma.SymmetricBilinearFormula(formula.tower, ((xs, bad),) + rest, {})
+    return formula, achieved
+
+ccma._attempt = attempt
+try:
+    ccma.construct_case1(2, 2)
+except ccma.VerificationError:
+    sys.exit(0)
+sys.exit(5)
+"""
+
+
+def test_construct_postcondition_survives_optimize():
+    # the postcondition is not an assert, so python -O keeps it
+    src = os.path.dirname(os.path.dirname(ccma.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-O", "-c", OPTIMIZED_SCRIPT], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+
+
+def test_compose_raises_on_corrupted_inner():
+    inner = ccma.construct_case1(4, 2)
+    with pytest.raises(ccma.VerificationError):
+        ccma.compose(ccma.construct_case1(2, 2), corrupt_constant(inner))
 
 
 def test_elliptic_construction_beats_bound_q3_n3():
@@ -263,3 +392,43 @@ def test_elliptic_construction_beats_bound_q3_n3():
     f = ccma.construct_case1(3, 3, entry.curve)
     assert f.rank == 6 <= 7
     assert ccma.verify(f, "exhaustive").passed
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 1 << 21) | st.floats(allow_nan=False)
+    | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner,
+                                                                max_size=4),
+    max_leaves=10)
+
+@functools.cache
+def _valid_dicts():
+    return tuple(ccma.formula_to_dict(ccma.construct_case1(q, 2)) for q in (3, 4))
+
+
+@st.composite
+def formula_documents(draw):
+    """Arbitrary JSON, or a valid formula file with one field replaced or removed."""
+    if draw(st.booleans()):
+        return draw(JSON_VALUES)
+    doc = json.loads(json.dumps(draw(st.sampled_from(_valid_dicts()))))
+    holder = draw(st.sampled_from([doc, doc["terms"][0], doc["ext_poly"], doc["terms"][0]["x_star"]]))
+    key = draw(st.sampled_from(sorted(holder) if isinstance(holder, dict)
+                               else range(len(holder))))
+    if isinstance(holder, dict) and draw(st.booleans()):
+        del holder[key]
+    else:
+        holder[key] = draw(JSON_VALUES)
+    return doc
+
+
+@settings(max_examples=300, deadline=None)
+@given(formula_documents())
+def test_formula_from_dict_fuzz(doc):
+    # malformed formula files are rejected with ValueError or KeyError only,
+    # which the CLI maps to exit 3
+    try:
+        f = ccma.formula_from_dict(doc)
+    except (ValueError, KeyError):
+        return
+    assert f.rank == doc["rank"]

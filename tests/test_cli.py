@@ -65,6 +65,18 @@ def test_verify_malformed_file_exit3(tmp_path, capsys):
     assert code == 3
 
 
+def test_verify_wrong_json_types_exit3(tmp_path, capsys):
+    good = tmp_path / "good.json"
+    assert run(capsys, "construct", "--q", "2", "--n", "2", "--out", str(good))[0] == 0
+    data = json.loads(good.read_text())
+    data["terms"] = 5
+    for doc in ({"p": "x"}, [], data):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        code, out = run(capsys, "verify", "--file", str(bad))
+        assert code == 3 and "status=bad-input" in out, doc
+
+
 def test_bound_command(tmp_path, capsys):
     cert_file = str(tmp_path / "cert.json")
     code, out = run(capsys, "bound", "--q", "2", "--n", "4", "--out", cert_file)
@@ -104,6 +116,9 @@ def test_bad_input_exit3(capsys):
     assert run(capsys, "construct", "--q", "2", "--n", "25")[0] == 3  # q^n over budget
     assert run(capsys, "nonsense")[0] == 3
     assert run(capsys, "construct", "--q", "4", "--n", "2", "--curve", "1,2")[0] == 3
+    assert run(capsys, "bound", "--q", "2", "--n", "0")[0] == 3
+    assert run(capsys, "bound", "--q", "2", "--n", "-3")[0] == 3
+    assert run(capsys, "bound", "--q", "2", "--n", "4", "--depth", "-1")[0] == 3
 
 
 def test_construct_with_explicit_curve(capsys):

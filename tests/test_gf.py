@@ -110,9 +110,20 @@ def test_fermat_exhaustive():
 
 
 def test_irreducible_counts_necklace():
-    for q, F in ((2, F2), (3, F3), (4, F4)):
-        for d in range(1, 7):
+    for q, F, dmax in ((2, F2, 6), (3, F3, 6), (4, F4, 6), (8, F8, 4), (9, F9, 3), (16, F16, 3)):
+        for d in range(1, dmax + 1):
             assert gf.count_irreducibles(F, d) == gf.necklace_count(q, d), (q, d)
+
+
+def test_find_irreducible_pinned_higher_degrees():
+    # lex-first moduli of canonical towers; formula files and tower keys
+    # depend on them, so no change of irreducibility test may move them
+    F16_canonical = canonical_extension(F2, 4)
+    assert find_irreducible(F16_canonical, 4).coeffs == (4, 2, 1, 0, 1)
+    assert find_irreducible(F16_canonical, 5).coeffs == (2, 0, 0, 0, 0, 1)
+    assert find_irreducible(F16_canonical, 6).coeffs == (13, 2, 1, 0, 0, 0, 1)
+    assert find_irreducible(F9, 5).coeffs == (4, 1, 0, 0, 0, 1)
+    assert find_irreducible(F9, 6).coeffs == (4, 0, 1, 0, 0, 0, 1)
 
 
 def test_polynomial_arithmetic():
