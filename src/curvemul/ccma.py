@@ -42,7 +42,7 @@ class TowerMismatchError(ValueError):
     """Composition of formulas over incompatible towers."""
 
 
-class VerificationError(RuntimeError):
+class VerificationError(gf.PostconditionError):
     """A formula the library built failed its own postcondition.
 
     Deliberately neither a ConstructionError (callers treat those as "try the
@@ -98,16 +98,6 @@ class SymmetricBilinearFormula:
     def __hash__(self):
         return hash((self.tower.key(), self.terms))
 
-    def form_value(self, i, x):
-        """x_i*(x) as an F_q element index."""
-        Fq = self.tower.base_field
-        xv = self.tower.ext_field.element(x).val
-        acc = 0
-        for a, b in zip(self.terms[i][0], xv):
-            if a and b:
-                acc = Fq.add(acc, Fq.mul(a, b))
-        return acc
-
     def apply(self, x, y):
         """Multiply x and y using the formula (the minimal-multiplication path)."""
         E = self.tower.ext_field
@@ -162,18 +152,26 @@ def verify(formula, mode="auto", pairs=DEFAULT_SAMPLES, seed=0):
     independent cross-checks of the proof.  Failures are reported, not
     raised; a failure names a concrete pair (x, y) by element indices.
     """
-    E = formula.tower.ext_field
-    if mode == "auto":
-        mode = "exhaustive" if E.size <= EXHAUSTIVE_LIMIT else "sampled"
+    mode = verify_mode(formula.tower.ext_field.size, mode, pairs)
     if mode == "tensor":
         return _verify_tensor(formula)
     if mode == "exhaustive":
-        if E.size > EXHAUSTIVE_LIMIT:
-            raise ValueError("exhaustive verification refused for q^n > %d" % EXHAUSTIVE_LIMIT)
         return _verify_exhaustive(formula)
-    if mode == "sampled":
-        return _verify_sampled(formula, pairs, seed)
-    raise ValueError("unknown mode %r" % (mode,))
+    return _verify_sampled(formula, pairs, seed)
+
+
+def verify_mode(size, mode, pairs):
+    """The mode `verify` runs for a field of `size` elements, resolving
+    'auto'; raises ValueError for a request it refuses."""
+    if mode == "auto":
+        mode = "exhaustive" if size <= EXHAUSTIVE_LIMIT else "sampled"
+    if mode == "exhaustive" and size > EXHAUSTIVE_LIMIT:
+        raise ValueError("exhaustive verification refused for q^n > %d" % EXHAUSTIVE_LIMIT)
+    if mode == "sampled" and pairs < 1:
+        raise ValueError("sampled verification needs pairs >= 1, got %d" % pairs)
+    if mode not in ("tensor", "exhaustive", "sampled"):
+        raise ValueError("unknown mode %r" % (mode,))
+    return mode
 
 
 def _basis(tower):
@@ -209,29 +207,36 @@ def _verify_tensor(formula):
     return VerificationReport(True, "tensor", len(products))
 
 
+def _form_values(formula, v):
+    """[x_i*(v) for each term i] as F_q indices, for a raw value v."""
+    Fq = formula.tower.base_field
+    fadd, fmul = Fq.add, Fq.mul
+    out = []
+    for xs, _ in formula.terms:
+        acc = 0
+        for w, xc in zip(xs, v):
+            if w and xc:
+                acc = fadd(acc, fmul(w, xc))
+        out.append(acc)
+    return out
+
+
+def _scaled_constants(formula):
+    """scaled[i][s] = index of s*c_i, for each term i and each s in F_q."""
+    E = formula.tower.ext_field
+    fmul = E.base.mul
+    return [[E.index_of(tuple(fmul(s, cc) for cc in c)) for s in range(E.base.size)]
+            for _, c in formula.terms]
+
+
 def _verify_exhaustive(formula):
     E = formula.tower.ext_field
-    Fq = formula.tower.base_field
+    fmul = formula.tower.base_field.mul
     size = E.size
-    r = formula.rank
-    vals = [E.value_of(i) for i in range(size)]
-    fadd, fmul = Fq.add, Fq.mul
-    star = []
-    for v in vals:
-        row = []
-        for xs, _ in formula.terms:
-            acc = 0
-            for w, xc in zip(xs, v):
-                if w and xc:
-                    acc = fadd(acc, fmul(w, xc))
-            row.append(acc)
-        star.append(row)
-    scaled = []
-    for _, c in formula.terms:
-        scaled.append([E.index_of(tuple(Fq.mul(s, cc) for cc in c)) for s in range(Fq.size)])
+    star = [_form_values(formula, E.value_of(i)) for i in range(size)]
+    scaled = _scaled_constants(formula)
     emul, eadd = E.mul, E.add
-    emul(0, 0)  # force table construction before the tight loop
-    rng_terms = list(range(r))
+    rng_terms = range(formula.rank)
     for ix in range(size):
         sx = star[ix]
         for iy in range(size):
@@ -248,15 +253,24 @@ def _verify_exhaustive(formula):
 
 
 def _verify_sampled(formula, pairs, seed):
+    """`pairs` seeded random pairs.  The right-hand side is vmul on the raw
+    values, so the field's index tables never check themselves."""
     E = formula.tower.ext_field
+    fmul = formula.tower.base_field.mul
+    eadd, value_of, index_of, vmul = E.add, E.value_of, E.index_of, E.vmul
+    scaled = _scaled_constants(formula)
     rng = random.Random(seed)
     size = E.size
     for k in range(pairs):
         ix = rng.randrange(size)
         iy = rng.randrange(size)
-        x = E.from_index(ix)
-        y = E.from_index(iy)
-        if formula.apply(x, y) != x * y:
+        xv, yv = value_of(ix), value_of(iy)
+        acc = 0
+        for a, b, sc in zip(_form_values(formula, xv), _form_values(formula, yv), scaled):
+            s = fmul(a, b)
+            if s:
+                acc = eadd(acc, sc[s])
+        if acc != index_of(vmul(xv, yv)):
             return VerificationReport(False, "sampled", k + 1, first_failure=(ix, iy), seed=seed)
     return VerificationReport(True, "sampled", pairs, seed=seed)
 
@@ -745,6 +759,8 @@ def brute_force_symmetric_rank(q, n, max_rank):
     None if every set up to max_rank fails (a certified lower bound of
     max_rank + 1).
     """
+    if max_rank < 1:
+        raise ValueError("max_rank must be >= 1, got %d" % max_rank)
     tower = FieldTower.canonical(q, n)
     Fq = tower.base_field
     nforms = (q ** n - 1) // (q - 1)

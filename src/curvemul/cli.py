@@ -71,6 +71,7 @@ def _select_curves(args, field):
 
 def cmd_construct(args):
     _check_qn(args.q, args.n, for_construction=True)
+    ccma.verify_mode(args.q ** args.n, args.mode, args.pairs)
     field = _canonical_field(args.q)
     attempts = _select_curves(args, field)
     cases = [(1, ccma.construct_case1)]
@@ -142,6 +143,8 @@ def _fmt_value(v):
 
 def cmd_asym(args):
     _check_qn(args.q, 1, for_construction=False)
+    if args.tmax < 0:
+        raise ValueError("--tmax must be >= 0")
     for rec in bounds.asymptotic_bounds(args.q):
         _emit(quantity=rec.quantity, q=rec.q, source=rec.source,
               value=_fmt_value(rec.value))
@@ -267,7 +270,7 @@ def main(argv=None):
     except (ValueError, gf.LevelMismatchError) as e:
         _emit(status="bad-input", detail=e)
         return EXIT_INPUT
-    except ccma.VerificationError as e:
+    except gf.PostconditionError as e:
         _emit(status="verify-failed", detail=e)
         return EXIT_VERIFY
 

@@ -20,7 +20,7 @@ import math
 
 from . import gf, linalg
 from .gf import (FieldElement, Polynomial, canonical_extension, embed, lift,
-                 find_irreducible, SCAN_LIMIT)
+                 find_irreducible, PostconditionError, SCAN_LIMIT)
 from .series import Series, poly_on_series, newton_root
 
 POINT_BUDGET = 1 << 20
@@ -502,7 +502,8 @@ class CurveFunction:
         bound = 2 * (self.den.degree + max(self.anum.degree, self.bnum.degree, 0)) + 6
         num_s, den_s = self._local_series(place, bound)
         vn, vd = num_s.valuation(), den_s.valuation()
-        assert vn is not None and vd is not None, "precision bound too small"
+        if vn is None or vd is None:
+            raise PostconditionError("precision bound too small")
         return vn - vd
 
 
@@ -754,7 +755,8 @@ class EllipticCurve:
             u_series = poly_on_series(R, [embed(F.from_index(c), R).index
                                           if R is not F else c for c in u_raw], xs)
             vu = u_series.valuation()
-            assert vu is not None, "norm polynomial vanished identically"
+            if vu is None:
+                raise PostconditionError("norm polynomial vanished identically")
             e = vu - D.get(p)
             if e <= 0:
                 continue
@@ -795,9 +797,9 @@ class EllipticCurve:
             anum = Polynomial._from_raw(F, tuple(a_c.get(i, 0) for i in range(deg_a + 1)))
             bnum = Polynomial._from_raw(F, tuple(b_c.get(i, 0) for i in range(deg_b + 1)))
             funcs.append(CurveFunction(self, anum, bnum, u))
-        if D.degree > 0:
-            assert len(funcs) == D.degree, \
-                "Riemann-Roch dimension mismatch: got %d, expected %d" % (len(funcs), D.degree)
+        if D.degree > 0 and len(funcs) != D.degree:
+            raise PostconditionError("Riemann-Roch dimension mismatch: got %d, expected %d"
+                                     % (len(funcs), D.degree))
         return RRBasis(D, funcs)
 
     # --- divisor classes ---
@@ -996,5 +998,7 @@ def _place_count(curve, d, counts):
     for e in _divisors(d):
         if e < d:
             total -= e * _place_count(curve, e, counts)
-    assert total % d == 0
+    if total % d:
+        raise PostconditionError("point counts give %d degree-%d points, not a multiple of %d"
+                                 % (total, d, d))
     return total // d

@@ -14,7 +14,9 @@ identical and elements can be mixed freely.  All types are immutable and all
 operations are pure.
 """
 
-TABLE_LIMIT = 512      # build full index-level mul/add tables up to this size
+from array import array
+
+TABLE_LIMIT = 1 << 16  # exp/log (Zech) index tables up to this size: O(size) memory
 SCAN_LIMIT = 1 << 20   # never enumerate a field bigger than this
 
 
@@ -24,6 +26,11 @@ class LevelMismatchError(ValueError):
 
 class NotInSubfieldError(ValueError):
     """Raised when lifting an element that is not in the subfield."""
+
+
+class PostconditionError(RuntimeError):
+    """A result the library computed failed its own check: a library bug,
+    not bad input.  Raised explicitly, so `python -O` cannot strip it."""
 
 
 def is_prime(n):
@@ -235,7 +242,10 @@ class _FieldBase:
     Index-level operations (`add`, `mul`, ...) act on canonical integer
     indices; value-level operations (`vadd`, `vmul`, ...) act on the raw
     element values (int for prime fields, tuple of base indices for
-    extensions).  Both views are exact and interchangeable.
+    extensions).  Both views are exact and interchangeable.  Index ops are
+    the fast path: prime fields compute them mod p, extension fields of at
+    most TABLE_LIMIT elements look them up in exp/log (Zech) tables, and
+    larger extension fields fall back to the value ops.
     """
 
     def element(self, x):
@@ -384,9 +394,7 @@ class ExtensionField(_FieldBase):
             row = shifted
             rows.append(tuple(row))
         self._red_rows = rows
-        self._mul_table = None
-        self._inv_table = None
-        self._add_table = None
+        self._exp = self._log = self._zech = None
 
     def __repr__(self):
         return "GF(%d)" % self.size if self.size < 10 ** 9 else "GF(%d^%d)" % (self.base.size, self.deg)
@@ -470,51 +478,76 @@ class ExtensionField(_FieldBase):
         return r
 
     # --- index-level arithmetic ---
+    #
+    # A field of at most TABLE_LIMIT elements builds, on first use and with
+    # about N vmul calls, tables over its smallest primitive element g:
+    # _exp[k] = g^k (twice over, so a sum of two logs needs no reduction) and
+    # _log[g^k] = k.  Odd characteristic adds _zech[k] = log(1 + g^k), so that
+    # g^a + g^b = g^(a + Z[b - a]); a negative b - a indexes from the end,
+    # which is its residue mod N - 1.  No Z[k] is 0, so 0 marks 1 + g^k = 0.
 
     def _ensure_tables(self):
-        if self._mul_table is not None or self.size > TABLE_LIMIT:
-            return
-        n = self.size
-        vals = [self.value_of(i) for i in range(n)]
-        self._mul_table = [[self.index_of(self.vmul(vals[i], vals[j])) for j in range(n)]
-                           for i in range(n)]
-        inv = [0] * n
-        for i in range(1, n):
-            inv[i] = self.index_of(self.vinv(vals[i]))
-        self._inv_table = inv
-        if self.char != 2:
-            self._add_table = [[self.index_of(self.vadd(vals[i], vals[j])) for j in range(n)]
-                               for i in range(n)]
+        """Build the tables of a table field; return _log, or None above the limit."""
+        if self._log is None and self.size <= TABLE_LIMIT:
+            m = self.size - 1
+            one = self.value_of(self.one_index)
+            factors = _prime_factors(m)
+            g = next(v for v in map(self.value_of, range(1, self.size))
+                     if all(self.vpow(v, m // r) != one for r in factors))
+            # While every entry is a cached small int a list costs one pointer
+            # per entry and indexes fastest; larger fields use 2-byte arrays.
+            zero = [0] if self.size <= 256 else array("H", [0])
+            exp, log = zero * (2 * m), zero * self.size
+            v = one
+            for k in range(m):
+                i = self.index_of(v)
+                exp[k] = exp[k + m] = i
+                log[i] = k
+                v = self.vmul(v, g)
+            if self.char != 2:
+                b, badd, bone = self.base.size, self.base.add, self.base.one_index
+                zech = self._zech = zero * m
+                for k in range(m):
+                    i = exp[k]
+                    zech[k] = log[i - i % b + badd(i % b, bone)]
+            self._exp, self._log = exp, log
+        return self._log
 
     def add(self, i, j):
         if self.char == 2:
             return i ^ j
-        if self._add_table is None:
-            self._ensure_tables()
-        if self._add_table is not None:
-            return self._add_table[i][j]
-        return self.index_of(self.vadd(self.value_of(i), self.value_of(j)))
+        if not (i and j):
+            return i or j
+        log = self._log or self._ensure_tables()
+        if log is None:
+            return self.index_of(self.vadd(self.value_of(i), self.value_of(j)))
+        a = log[i]
+        z = self._zech[log[j] - a]
+        return self._exp[a + z] if z else 0
 
     def neg(self, i):
-        if self.char == 2:
+        if self.char == 2 or not i:
             return i
-        return self.index_of(self.vneg(self.value_of(i)))
+        log = self._log or self._ensure_tables()
+        if log is None:
+            return self.index_of(self.vneg(self.value_of(i)))
+        return self._exp[log[i] + (self.size - 1) // 2]
 
     def mul(self, i, j):
-        if self._mul_table is None:
-            self._ensure_tables()
-        if self._mul_table is not None:
-            return self._mul_table[i][j]
-        return self.index_of(self.vmul(self.value_of(i), self.value_of(j)))
+        if not (i and j):
+            return 0
+        log = self._log or self._ensure_tables()
+        if log is None:
+            return self.index_of(self.vmul(self.value_of(i), self.value_of(j)))
+        return self._exp[log[i] + log[j]]
 
     def inv(self, i):
         if i == 0:
             raise ZeroDivisionError("inverse of zero")
-        if self._inv_table is None:
-            self._ensure_tables()
-        if self._inv_table is not None:
-            return self._inv_table[i]
-        return self.index_of(self.vinv(self.value_of(i)))
+        log = self._log or self._ensure_tables()
+        if log is None:
+            return self.index_of(self.vinv(self.value_of(i)))
+        return self._exp[self.size - 1 - log[i]]
 
 
 _prime_fields = {}
@@ -823,10 +856,6 @@ class Polynomial:
         """Array of element encodings, low degree first."""
         return [self.field.from_index(c).encode() for c in self.coeffs]
 
-    @classmethod
-    def decode(cls, field, data):
-        return cls(field, [decode_element(field, c) for c in data])
-
     def __repr__(self):
         if not self.coeffs:
             return "Poly(0)"
@@ -893,7 +922,8 @@ def necklace_count(q, d):
         return res
 
     total = sum(mu(e) * q ** (d // e) for e in range(1, d + 1) if d % e == 0)
-    assert total % d == 0
+    if total % d:
+        raise PostconditionError("necklace sum %d not divisible by %d" % (total, d))
     return total // d
 
 

@@ -6,34 +6,6 @@ which keeps results deterministic.  Sizes in this package stay below ~40x40.
 """
 
 
-def mat_vec(field, m, v):
-    add, mul = field.add, field.mul
-    out = []
-    for row in m:
-        acc = 0
-        for a, b in zip(row, v):
-            if a and b:
-                acc = add(acc, mul(a, b))
-        out.append(acc)
-    return out
-
-
-def mat_mul(field, a, b):
-    add, mul = field.add, field.mul
-    cols = list(zip(*b)) if b else []
-    out = []
-    for row in a:
-        orow = []
-        for col in cols:
-            acc = 0
-            for x, y in zip(row, col):
-                if x and y:
-                    acc = add(acc, mul(x, y))
-            orow.append(acc)
-        out.append(orow)
-    return out
-
-
 def rref(field, rows):
     """Reduced row echelon form; returns (rref_rows, pivot_columns)."""
     m = [list(r) for r in rows]
@@ -58,10 +30,6 @@ def rref(field, rows):
         if r == len(m):
             break
     return m, pivots
-
-
-def rank(field, rows):
-    return len(rref(field, rows)[1])
 
 
 def invert(field, rows):

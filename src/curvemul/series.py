@@ -1,10 +1,12 @@
-"""Truncated power series and Laurent series over a finite field.
+"""Truncated power series over a finite field.
 
 Used for local expansions at places of a curve: solving the curve equation
 for a branch through a point (Newton iteration) and reading off valuations
 and leading coefficients.  Coefficients are element indices of the field;
 a Series of precision P represents c0 + c1 t + ... + c_(P-1) t^(P-1) + O(t^P).
 """
+
+from .gf import PostconditionError
 
 
 class Series:
@@ -54,10 +56,6 @@ class Series:
     def scale(self, c):
         f = self.field
         return Series(f, [f.mul(c, a) for a in self.coeffs])
-
-    def shift(self, k):
-        """Multiply by t^k (k >= 0), keeping precision."""
-        return Series(self.field, ([0] * k + self.coeffs)[: self.prec])
 
     def inverse(self):
         """Multiplicative inverse; requires a unit (nonzero constant term)."""
@@ -120,51 +118,7 @@ def newton_root(field, g_coeffs, y0, prec):
         gy = ev(g, y)
         dgy = ev(dg, y)
         y = y - gy * dgy.inverse()
-    assert ev(g, y).valuation() is None, "Newton iteration failed to converge"
+    if ev(g, y).valuation() is not None:
+        raise PostconditionError("Newton iteration failed to converge")
     return y
 
-
-class Laurent:
-    """shift + power series: sum_k c_k t^(shift + k)."""
-
-    __slots__ = ("val0", "series")
-
-    def __init__(self, val0, series):
-        self.val0 = val0
-        self.series = series
-
-    @classmethod
-    def from_series(cls, s):
-        return cls(0, s)
-
-    def __mul__(self, other):
-        return Laurent(self.val0 + other.val0, self.series * other.series)
-
-    def __add__(self, other):
-        a, b = self, other
-        if a.val0 > b.val0:
-            a, b = b, a
-        shifted = b.series.shift(b.val0 - a.val0)
-        return Laurent(a.val0, a.series.truncate(shifted.prec) + shifted)
-
-    def inverse(self):
-        v = self.series.valuation()
-        if v is None:
-            raise ZeroDivisionError("inverse of zero Laurent series")
-        unit = Series(self.series.field, self.series.coeffs[v:])
-        return Laurent(-(self.val0 + v), unit.inverse())
-
-    def valuation(self):
-        v = self.series.valuation()
-        return None if v is None else self.val0 + v
-
-    def coefficient(self, k):
-        i = k - self.val0
-        if i < 0:
-            return 0
-        if i >= self.series.prec:
-            raise ValueError("coefficient beyond precision")
-        return self.series.coeffs[i]
-
-    def __repr__(self):
-        return "Laurent(t^%d * %r)" % (self.val0, self.series)

@@ -12,6 +12,40 @@ from curvemul import linalg
 from curvemul.function_field import Divisor, PoleEvaluationError
 
 
+# Matrix helpers only the tests need; the library itself solves and reduces.
+
+def mat_vec(field, m, v):
+    add, mul = field.add, field.mul
+    out = []
+    for row in m:
+        acc = 0
+        for a, b in zip(row, v):
+            if a and b:
+                acc = add(acc, mul(a, b))
+        out.append(acc)
+    return out
+
+
+def mat_mul(field, a, b):
+    add, mul = field.add, field.mul
+    cols = list(zip(*b)) if b else []
+    out = []
+    for row in a:
+        orow = []
+        for col in cols:
+            acc = 0
+            for x, y in zip(row, col):
+                if x and y:
+                    acc = add(acc, mul(x, y))
+            orow.append(acc)
+        out.append(orow)
+    return out
+
+
+def rank(field, rows):
+    return len(linalg.rref(field, rows)[1])
+
+
 def check_field_axioms(field, rng, triples=1000):
     size = field.size
     for _ in range(triples):

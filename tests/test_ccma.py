@@ -1,6 +1,7 @@
 import functools
 import json
 import os
+import random
 import subprocess
 import sys
 
@@ -148,6 +149,52 @@ def test_verify_sampled_deterministic():
     assert a.passed and b.passed and a.seed == b.seed == 42
 
 
+def _sampled_reference(formula, pairs, seed):
+    """The sampled scan written with the public API: apply against x * y."""
+    E = formula.tower.ext_field
+    rng = random.Random(seed)
+    for k in range(pairs):
+        ix, iy = rng.randrange(E.size), rng.randrange(E.size)
+        x, y = E.from_index(ix), E.from_index(iy)
+        if formula.apply(x, y) != x * y:
+            return False, k + 1, (ix, iy)
+    return True, pairs, None
+
+
+def _with_extra_term(f, form_index):
+    """f plus the term (e_k*, 1) for k = form_index: wrong on a fraction of pairs."""
+    Fq, E, n = f.tower.base_field, f.tower.ext_field, f.tower.n
+    form = tuple(Fq.one_index if i == form_index else 0 for i in range(n))
+    return ccma.SymmetricBilinearFormula(
+        f.tower, f.terms + ((form, E.value_of(E.one_index)),), f.provenance)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: _with_extra_term(schoolbook_formula(2, 9), 8),
+    lambda: _with_extra_term(schoolbook_formula(3, 6), 2),
+    lambda: corrupt_off_diagonal(ccma.construct_case1(16, 3)),
+    lambda: ccma.construct_case1(16, 3),
+], ids=["schoolbook-2-9", "schoolbook-3-6", "off-diagonal-16-3", "case1-16-3"])
+def test_sampled_report_matches_apply_reference(make):
+    f = make()
+    assert f.tower.ext_field.size > ccma.EXHAUSTIVE_LIMIT
+    for seed in range(8):
+        rep = ccma.verify(f, "sampled", pairs=60, seed=seed)
+        assert (rep.passed, rep.pairs_checked, rep.first_failure) == \
+            _sampled_reference(f, 60, seed)
+        assert rep.seed == seed
+
+
+def test_sampled_rejects_nonpositive_pairs():
+    small, large = ccma.construct_case1(2, 2), ccma.construct_case1(16, 3)
+    for pairs in (0, -5):
+        with pytest.raises(ValueError):
+            ccma.verify(small, "sampled", pairs=pairs)
+        with pytest.raises(ValueError):
+            ccma.verify(large, "auto", pairs=pairs)  # auto resolves to sampled here
+    assert ccma.verify(small, "auto", pairs=0).mode == "exhaustive"
+
+
 def test_apply_multiplies():
     f = ccma.construct_case1(4, 2)
     E = f.tower.ext_field
@@ -199,6 +246,12 @@ def test_brute_force_certifies_mu2_3():
     # rank 5 is impossible for F8/F2, so the constructed rank 6 is optimal
     assert ccma.brute_force_symmetric_rank(2, 3, 5) is None
     assert ccma.construct_case3(2, 3).rank == 6
+
+
+def test_brute_force_rejects_max_rank_below_one():
+    for max_rank in (0, -1):
+        with pytest.raises(ValueError):
+            ccma.brute_force_symmetric_rank(2, 2, max_rank)
 
 
 def test_brute_force_budget_guard():

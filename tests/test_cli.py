@@ -130,3 +130,27 @@ def test_construct_with_explicit_curve(capsys):
 def test_construct_catalog_index(capsys):
     code, out = run(capsys, "construct", "--q", "4", "--n", "4", "--catalog-index", "0")
     assert code == 0 and "rank=8" in out
+
+
+def test_sampled_pairs_below_one_exit3(tmp_path, capsys):
+    f22 = str(tmp_path / "f22.json")
+    assert run(capsys, "construct", "--q", "2", "--n", "2", "--out", f22)[0] == 0
+    code, out = run(capsys, "verify", "--file", f22, "--mode", "sampled", "--pairs", "-5")
+    assert code == 3 and "status=bad-input" in out
+    code, out = run(capsys, "construct", "--q", "16", "--n", "3", "--mode", "sampled",
+                    "--pairs", "0")
+    assert code == 3 and "status=bad-input" in out
+    code, out = run(capsys, "construct", "--q", "16", "--n", "3", "--pairs", "0")  # auto
+    assert code == 3 and "status=bad-input" in out
+    code, out = run(capsys, "verify", "--file", f22, "--pairs", "0")  # auto -> exhaustive
+    assert code == 0 and "mode=exhaustive" in out
+
+
+def test_asym_negative_tmax_exit3(capsys):
+    code, out = run(capsys, "asym", "--q", "4", "--tmax", "-1")
+    assert code == 3 and "status=bad-input" in out
+
+
+def test_brute_rank_max_below_one_exit3(capsys):
+    code, out = run(capsys, "brute-rank", "--q", "2", "--n", "2", "--max", "0")
+    assert code == 3 and "status=bad-input" in out and "rank_gt" not in out

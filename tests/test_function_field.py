@@ -1,8 +1,11 @@
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
-from curvemul import gf
+from curvemul import function_field, gf
 from curvemul.gf import prime_field, canonical_extension
 from curvemul.function_field import (ProjectiveLine, EllipticCurve, Divisor, Place,
                                      place_divisor, curve_search, best_stat_curves,
@@ -353,3 +356,28 @@ def test_flip_place_involution():
                 fl = E.flip_place(pl)
                 assert fl.degree == pl.degree
                 assert E.flip_place(fl) == pl
+
+
+PLACE_COUNT_SCRIPT = """
+import sys
+from curvemul import function_field, gf
+curve = function_field.EllipticCurve(gf.prime_field(2), 0, 0, 1, 0, 0)
+try:
+    function_field._place_count(curve, 2, {1: 3, 2: 4})
+except gf.PostconditionError:
+    sys.exit(0)
+sys.exit(5)
+"""
+
+
+def test_place_count_inconsistent_counts_raise():
+    # N2 - N1 = 1 points of degree 2 cannot form whole places
+    with pytest.raises(gf.PostconditionError):
+        function_field._place_count(E_SS, 2, {1: 3, 2: 4})
+    assert function_field._place_count(E_SS, 2, {1: 3, 2: 5}) == 1
+    # the check is not an assert, so python -O keeps it
+    src = os.path.dirname(os.path.dirname(gf.__file__))
+    done = subprocess.run([sys.executable, "-O", "-c", PLACE_COUNT_SCRIPT],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr

@@ -174,3 +174,50 @@ def test_tower_equality_and_serialization():
 def test_interning():
     assert canonical_extension(F2, 2) is F4
     assert extension(F2, (1, 1, 1)) is F4
+
+
+def _check_index_ops(E, pairs):
+    """E's index ops against the value ops on the given index pairs, and its
+    unary ops on every element."""
+    val, idx = E.value_of, E.index_of
+    for i, j in pairs:
+        a, b = val(i), val(j)
+        assert E.mul(i, j) == idx(E.vmul(a, b)), (E, i, j)
+        assert E.add(i, j) == idx(E.vadd(a, b)), (E, i, j)
+        assert E.sub(i, j) == idx(E.vsub(a, b)), (E, i, j)
+    for i in range(E.size):
+        assert E.neg(i) == idx(E.vneg(val(i))), (E, i)
+        if i:
+            assert E.inv(i) == idx(E.vinv(val(i))), (E, i)
+
+
+@pytest.mark.parametrize("q,n", [(2, 2), (3, 2), (2, 4), (5, 2), (7, 2), (3, 5), (2, 8),
+                                 (16, 2), (9, 2)])
+def test_table_ops_match_value_ops_on_every_pair(q, n):
+    E = FieldTower.canonical(q, n).ext_field
+    _check_index_ops(E, ((i, j) for i in range(E.size) for j in range(E.size)))
+    assert E._log is not None  # answered from the exp/log tables
+
+
+def test_table_ops_match_value_ops_f512_every_element():
+    E = FieldTower.canonical(2, 9).ext_field
+    rng = random.Random(5)
+    _check_index_ops(E, [(i, rng.randrange(E.size)) for i in range(E.size) for _ in range(8)])
+    assert E._log is not None
+
+
+@pytest.mark.parametrize("q,n", [(3, 6), (16, 3)])
+def test_table_ops_match_value_ops_sampled(q, n):
+    E = FieldTower.canonical(q, n).ext_field
+    rng = random.Random(7)
+    _check_index_ops(E, [(rng.randrange(E.size), rng.randrange(E.size)) for _ in range(20000)])
+    assert E._log is not None
+
+
+def test_no_tables_above_limit():
+    E = FieldTower.canonical(2, 17).ext_field
+    assert E.size > gf.TABLE_LIMIT
+    x, y = 12345, 67890
+    assert E.mul(x, y) == E.index_of(E.vmul(E.value_of(x), E.value_of(y)))
+    assert E.mul(E.inv(x), x) == E.one_index
+    assert E._log is None
