@@ -369,27 +369,17 @@ def _section_matrix(F, A, ncols):
     return sigma
 
 
-def _coords(element, expected_deg):
-    v = element.val
-    if expected_deg == 1:
-        return (element.index,)
-    return v
-
-
 def _place_rows(basis_funcs, place):
-    """Evaluation rows of the functions at the place: one row per residue
-    coordinate; None when some function has a pole there."""
-    d = place.degree
-    vals = []
+    """Evaluation rows of the functions at the place: row c holds the c-th
+    residue coordinate of each value, the c-th base-q digit of its index;
+    None when some function has a pole there."""
     try:
-        for f in basis_funcs:
-            vals.append(f.eval_at(place))
+        vals = [f.eval_at(place) for f in basis_funcs]
     except PoleEvaluationError:
         return None
-    rows = []
-    for c in range(d):
-        rows.append([_coords(v, d)[c] for v in vals])
-    return rows
+    F, d = place.curve.field, place.degree
+    digits = [gf._raw_from_int(F, v, d) for v in vals]
+    return [[dv[c] for dv in digits] for c in range(d)]
 
 
 _QUAD_CACHE = {}
@@ -510,15 +500,14 @@ def _attempt(tower, curve, case, D, Q, dim2, ell_D, eval_degrees, quad):
     Fq = tower.base_field
     E = tower.ext_field
     n = tower.n
+    if Q.residue_field is not E:
+        raise gf.LevelMismatchError("residue field of Q is not the tower extension")
     LD = curve.riemann_roch(D)
     if LD.dimension != ell_D:
         return None, None
-    try:
-        evQ = [f.eval_at(Q) for f in LD.functions]
-    except PoleEvaluationError:
+    A = _place_rows(LD.functions, Q)  # n x ell_D: coordinates in the power basis of E
+    if A is None:
         return None, None
-    evQ = [_identify_residue(tower, curve, Q, v) for v in evQ]
-    A = [[v.val[i] for v in evQ] for i in range(n)]
     sigma = _section_matrix(Fq, A, ell_D)
     if sigma is None:
         return None, None
@@ -527,7 +516,7 @@ def _attempt(tower, curve, case, D, Q, dim2, ell_D, eval_degrees, quad):
     if L2D.dimension != dim2:
         return None, None
     try:
-        evQ2 = [_identify_residue(tower, curve, Q, f.eval_at(Q)) for f in L2D.functions]
+        evQ2 = [E.value_of(f.eval_at(Q)) for f in L2D.functions]
     except PoleEvaluationError:
         return None, None
 
@@ -569,7 +558,7 @@ def _attempt(tower, curve, case, D, Q, dim2, ell_D, eval_degrees, quad):
         for k in range(dim2):
             s = inv_sub[k][pos]
             if s:
-                acc = E.vadd(acc, tuple(Fq.mul(s, c) for c in evQ2[k].val))
+                acc = E.vadd(acc, tuple(Fq.mul(s, c) for c in evQ2[k]))
         gammas[r] = acc
 
     terms = []
@@ -622,20 +611,6 @@ def _row_times(F, row, mat):
     return tuple(out)
 
 
-def _identify_residue(tower, curve, Q, value):
-    """Map a residue-field value at Q into the tower's extension field.
-
-    Both are the canonical F_(q^n) by construction, so this is an identity
-    up to the degenerate n = 1 case.
-    """
-    E = tower.ext_field
-    if value.field is E:
-        return value
-    if value.field is tower.base_field and E.deg == 1:
-        return FieldElement(E, (value.index,))
-    raise gf.LevelMismatchError("residue field of Q is not the tower extension")
-
-
 # ---------------------------------------------------------------------------
 # composition
 # ---------------------------------------------------------------------------
@@ -661,37 +636,35 @@ def compose(outer, inner, verify_mode="tensor", pairs=DEFAULT_SAMPLES, seed=0):
     if C.size > gf.SCAN_LIMIT:
         raise BudgetExceededError("composed field too large for root search")
 
-    rho = next(x for x in C if not outer.tower.ext_poly(x))
-    rho_pows = [C.one()]
-    for _ in range(n - 1):
-        rho_pows.append(rho_pows[-1] * rho)
+    # Everything in C is an element index; F_p elements keep theirs in C.
+    def powers(x, k):
+        out = [C.one_index]
+        for _ in range(k - 1):
+            out.append(C.mul(out[-1], x))
+        return out
 
-    def iota(e):
-        acc = C.zero()
-        for coeff, rp in zip(e.val, rho_pows):
+    def root(coeffs):
+        return next(x for x in range(C.size) if not gf._peval(C, coeffs, x))
+
+    rho_pows = powers(root(outer.tower.ext_poly.coeffs), n)
+
+    def iota(v):
+        """The element of C that the value v of E (coefficients over F_p in
+        the power basis of rho) stands for."""
+        acc = 0
+        for coeff, rp in zip(v, rho_pows):
             if coeff:
-                acc = acc + rp * C.scalar(coeff)
+                acc = C.add(acc, C.mul(coeff, rp))
         return acc
 
     # inner ext polynomial mapped through iota, then a root u of it in C
-    gpoly = [iota(E.from_index(c)) for c in inner.tower.ext_poly.coeffs]
-
-    def geval(x):
-        acc = C.zero()
-        for c in reversed(gpoly):
-            acc = acc * x + c
-        return acc
-
-    u = next(x for x in C if not geval(x))
-    u_pows = [C.one()]
-    for _ in range(m - 1):
-        u_pows.append(u_pows[-1] * u)
+    u_pows = powers(root([iota(E.value_of(c)) for c in inner.tower.ext_poly.coeffs]), m)
 
     # basis u^a rho^b of C over F_p, stacked coordinates k = a*n + b
     M = []
     for a in range(m):
         for b in range(n):
-            M.append(list((u_pows[a] * rho_pows[b]).val))
+            M.append(list(C.value_of(C.mul(u_pows[a], rho_pows[b]))))
     Mcols = [list(col) for col in zip(*M)]  # columns indexed by (a, b)
     Minv = linalg.invert(Fp, Mcols)
 
@@ -712,13 +685,12 @@ def compose(outer, inner, verify_mode="tensor", pairs=DEFAULT_SAMPLES, seed=0):
 
     terms = []
     for ustar, d_val in inner.terms:
-        d_C = C.zero()
+        d_C = 0
         for a in range(m):
-            coeff = E.from_index(d_val[a])
-            d_C = d_C + iota(coeff) * u_pows[a]
+            d_C = C.add(d_C, C.mul(iota(E.value_of(d_val[a])), u_pows[a]))
         blocks = [mul_matrix(ustar[a]) for a in range(m)]
         for vstar, c_val in outer.terms:
-            c_C = iota(FieldElement(E, c_val)) * d_C
+            c_C = C.mul(iota(c_val), d_C)
             stacked = []
             for a in range(m):
                 mat = blocks[a]
@@ -729,7 +701,7 @@ def compose(outer, inner, verify_mode="tensor", pairs=DEFAULT_SAMPLES, seed=0):
                             acc = Fp.add(acc, Fp.mul(vstar[i], mat[i][b]))
                     stacked.append(acc)
             xstar = _row_times(Fp, stacked, Minv)
-            terms.append((xstar, c_C.val))
+            terms.append((xstar, C.value_of(c_C)))
 
     prov = {"method": "composed", "q": p, "n": n * m,
             "outer": outer.provenance.get("method"), "outer_n": n,

@@ -173,23 +173,14 @@ def cmd_curves(args):
         if n1 >= args.min_n1:
             print("%d,%d,,0,%d,%d" % (field.char, q, n1, n2))
         return EXIT_OK
-    try:
-        entries = curve_search(field, args.min_n1)
-    except BudgetExceededError as e:
-        _emit(status="bad-input", detail=e)
-        return EXIT_INPUT
-    for row in catalog_rows(entries):
+    for row in catalog_rows(curve_search(field, args.min_n1)):
         print(row)
     return EXIT_OK
 
 
 def cmd_brute_rank(args):
     _check_qn(args.q, args.n, for_construction=False)
-    try:
-        r = ccma.brute_force_symmetric_rank(args.q, args.n, args.max)
-    except BudgetExceededError as e:
-        _emit(status="bad-input", detail=e)
-        return EXIT_INPUT
+    r = ccma.brute_force_symmetric_rank(args.q, args.n, args.max)
     if r is None:
         _emit(status="ok", q=args.q, n=args.n, rank_gt=args.max)
     else:
@@ -267,7 +258,8 @@ def main(argv=None):
         return e.code if isinstance(e.code, int) else EXIT_INPUT
     try:
         return args.func(args)
-    except (ValueError, gf.LevelMismatchError) as e:
+    except (ValueError, gf.LevelMismatchError, BudgetExceededError) as e:
+        # an input too large for an exhaustive search is bad input too
         _emit(status="bad-input", detail=e)
         return EXIT_INPUT
     except gf.PostconditionError as e:

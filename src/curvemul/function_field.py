@@ -8,9 +8,15 @@ Conventions fixed once so that every run reproduces the same objects:
 
 * the residue field of a degree-d place is the canonical extension
   F_q[t]/(find_irreducible(F_q, d));
+* every value crossing this module's interface is an element index (see
+  gf): place data, curve coefficients, evaluations (an index of the place's
+  residue field), series and matrix entries.  An element of F_q has the same
+  index in every residue field, so F_q coefficients are used there as they
+  are, and a Frobenius-invariant value is read back in F_q by its index;
 * a genus-0 finite place is a monic irreducible polynomial in x, identified
   with the residue field through its smallest root (by element index); the
-  place whose polynomial *is* the canonical modulus maps x to the generator;
+  place whose polynomial *is* the canonical modulus maps x to the generator
+  t, whose index is q;
 * a genus-1 place is a Frobenius orbit of an affine point, stored by its
   lexicographically smallest representative; evaluation at the place is
   evaluation at that representative.
@@ -19,8 +25,8 @@ Conventions fixed once so that every run reproduces the same objects:
 import math
 
 from . import gf, linalg
-from .gf import (FieldElement, Polynomial, canonical_extension, embed, lift,
-                 find_irreducible, PostconditionError, SCAN_LIMIT)
+from .gf import (FieldElement, Polynomial, canonical_extension, PostconditionError,
+                 SCAN_LIMIT, _peval)
 from .series import Series, poly_on_series, newton_root
 
 POINT_BUDGET = 1 << 20
@@ -87,7 +93,7 @@ def solve_quadratic(F, a, b):
         if z is None:
             return []
         return sorted((F.mul(a, z), F.add(F.mul(a, z), a)))
-    inv2 = F.inv(F.index_of(F._scalar_value(2)))
+    inv2 = F.inv(2 % F.char)
     half_a = F.mul(a, inv2)
     disc = F.add(b, F.mul(half_a, half_a))
     if disc == 0:
@@ -237,10 +243,11 @@ class RationalFunction:
         g = num.gcd(den)
         if g.degree > 0:
             num, den = num // g, den // g
-        lc = den[den.degree]
-        if lc.index != field.one_index:
-            inv = lc.inverse()
-            num, den = num * inv, den * inv
+        lc = den.coeffs[-1]
+        if lc != field.one_index:
+            inv = field.inv(lc)
+            num = Polynomial._from_raw(field, gf._pscale(field, list(num.coeffs), inv))
+            den = Polynomial._from_raw(field, gf._pscale(field, list(den.coeffs), inv))
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
@@ -257,26 +264,23 @@ class RationalFunction:
                                 self.den * other.den)
 
     def __mul__(self, other):
-        if isinstance(other, RationalFunction):
-            return RationalFunction(self.field, self.num * other.num, self.den * other.den)
-        return RationalFunction(self.field, self.num * other, self.den)
-
-    def scale(self, c):
-        return RationalFunction(self.field, self.num * c, self.den)
+        return RationalFunction(self.field, self.num * other.num, self.den * other.den)
 
     def eval_at(self, place):
+        """The value at the place, an element index of its residue field."""
         if place.kind == "inf":
             dn, dd = self.num.degree, self.den.degree
             if self.is_zero() or dn < dd:
-                return self.field.zero()
+                return 0
             if dn > dd:
                 raise PoleEvaluationError("pole at infinity")
-            return self.num[dn] / self.den[dd]
+            return self.num.coeffs[-1]  # over the monic denominator's 1
+        R = place.residue_field
         rho = place.curve._root_of(place)
-        den_v = self.den(rho)
+        den_v = _peval(R, self.den.coeffs, rho)
         if not den_v:
             raise PoleEvaluationError("pole at %r" % (place,))
-        return self.num(rho) * den_v.inverse()
+        return R.mul(_peval(R, self.num.coeffs, rho), R.inv(den_v))
 
     def ord_at(self, place):
         if self.is_zero():
@@ -349,23 +353,21 @@ class ProjectiveLine:
         return self.field.size ** k + 1
 
     def _root_of(self, place):
-        """The fixed residue identification: smallest root of the place
-        polynomial in the canonical F_(q^d); the canonical modulus itself
-        maps to the generator."""
+        """The fixed residue identification, as an index of the canonical
+        F_(q^d): the smallest root of the place polynomial; the canonical
+        modulus itself maps to the generator t, whose index is q."""
         rho = self._roots.get(place.data)
         if rho is not None:
             return rho
-        d = place.degree
-        R = canonical_extension(self.field, d)
-        if d == 1:
-            rho = self.field.from_index(self.field.neg(place.data[0]))
+        R = place.residue_field
+        if place.degree == 1:
+            rho = self.field.neg(place.data[0])
         elif place.data == R.modulus:
-            rho = FieldElement(R, (0, self.field.one_index) + (0,) * (R.deg - 2))
+            rho = self.field.size
         else:
             if R.size > SCAN_LIMIT:
                 raise BudgetExceededError("root scan too large")
-            poly = Polynomial._from_raw(self.field, place.data)
-            rho = next(x for x in R if not poly(x))
+            rho = next(x for x in range(R.size) if not _peval(R, place.data, x))
         self._roots[place.data] = rho
         return rho
 
@@ -427,21 +429,15 @@ class CurveFunction:
                              self.den * other.den)
 
     def __mul__(self, other):
-        if not isinstance(other, CurveFunction):
-            return CurveFunction(self.curve, self.anum * other, self.bnum * other, self.den)
         E = self.curve
         F = E.field
-        x = Polynomial(F, [0, 1])
-        rhs = x ** 3 + x ** 2 * F.from_index(E.a[1]) + x * F.from_index(E.a[3]) \
-            + Polynomial(F, [F.from_index(E.a[4])])
-        ylin = x * F.from_index(E.a[0]) + Polynomial(F, [F.from_index(E.a[2])])
+        a1, a2, a3, a4, a6 = E.a
+        rhs = Polynomial._from_raw(F, (a6, a4, a2, F.one_index))  # y^2 + ylin*y = rhs
+        ylin = Polynomial._from_raw(F, gf._ptrim([a3, a1]))
         bb = self.bnum * other.bnum
         anum = self.anum * other.anum + bb * rhs
         bnum = self.anum * other.bnum + other.anum * self.bnum - bb * ylin
         return CurveFunction(E, anum, bnum, self.den * other.den)
-
-    def scale(self, c):
-        return CurveFunction(self.curve, self.anum * c, self.bnum * c, self.den)
 
     def _origin_order(self):
         """Exact pole/zero order at the origin: orders of x and y are -2 and
@@ -456,21 +452,21 @@ class CurveFunction:
         return min(parts) + 2 * self.den.degree
 
     def eval_at(self, place):
-        E = self.curve
+        """The value at the place, an element index of its residue field."""
+        R = place.residue_field
         if place.kind == "origin":
             o = self._origin_order()
             if o is None or o > 0:
-                return E.field.zero()
+                return 0
             if o < 0:
                 raise PoleEvaluationError("pole at the origin")
-            return self.anum[self.anum.degree] / self.den[self.den.degree]
-        R = place.residue_field
+            return R.mul(self.anum.coeffs[-1], R.inv(self.den.coeffs[-1]))
         x0, y0 = place.data
-        xe = R.from_index(x0)
-        ye = R.from_index(y0)
-        den_v = self.den(xe)
+        den_v = _peval(R, self.den.coeffs, x0)
         if den_v:
-            return (self.anum(xe) + self.bnum(xe) * ye) * den_v.inverse()
+            num_v = R.add(_peval(R, self.anum.coeffs, x0),
+                          R.mul(_peval(R, self.bnum.coeffs, x0), y0))
+            return R.mul(num_v, R.inv(den_v))
         # apparent singularity: decide by local expansion
         prec = 2 * self.den.degree + 2 * max(self.anum.degree, self.bnum.degree, 0) + 4
         num_s, den_s = self._local_series(place, prec)
@@ -480,18 +476,13 @@ class CurveFunction:
         if vn < vd:
             raise PoleEvaluationError("pole at %r" % (place,))
         if vn > vd:
-            return R.zero()
-        return R.from_index(R.mul(num_s.coeffs[vn], R.inv(den_s.coeffs[vd])))
+            return 0
+        return R.mul(num_s.coeffs[vn], R.inv(den_s.coeffs[vd]))
 
     def _local_series(self, place, prec):
         R = place.residue_field
         xs, ys = self.curve.expand_branch(place, prec)
-        a_s = poly_on_series(R, [embed(c, R).index if R is not self.curve.field else c.index
-                                 for c in _poly_elems(self.anum)], xs)
-        b_s = poly_on_series(R, [embed(c, R).index if R is not self.curve.field else c.index
-                                 for c in _poly_elems(self.bnum)], xs)
-        d_s = poly_on_series(R, [embed(c, R).index if R is not self.curve.field else c.index
-                                 for c in _poly_elems(self.den)], xs)
+        a_s, b_s, d_s = (poly_on_series(R, p.coeffs, xs) for p in (self.anum, self.bnum, self.den))
         return a_s + b_s * ys, d_s
 
     def ord_at(self, place):
@@ -507,8 +498,12 @@ class CurveFunction:
         return vn - vd
 
 
-def _poly_elems(poly):
-    return [poly[i] for i in range(poly.degree + 1)] if not poly.is_zero() else []
+def _descend(F, values):
+    """Frobenius-invariant values of a residue field, read in F: they lie in
+    F and keep their indices there."""
+    if any(v >= F.size for v in values):
+        raise PostconditionError("Frobenius-invariant value outside %r" % (F,))
+    return tuple(values)
 
 
 class EllipticCurve:
@@ -529,7 +524,6 @@ class EllipticCurve:
             else:
                 raise ValueError("bad Weierstrass coefficient %r" % (v,))
         self.a = tuple(idx)
-        self._coeff_cache = {}
         if self.discriminant() == 0:
             raise ValueError("singular Weierstrass equation")
 
@@ -541,22 +535,17 @@ class EllipticCurve:
 
     def discriminant(self):
         F = self.field
-        a1, a2, a3, a4, a6 = (F.from_index(i) for i in self.a)
-        b2 = a1 * a1 + 4 * a2
-        b4 = 2 * a4 + a1 * a3
-        b6 = a3 * a3 + 4 * a6
-        b8 = a1 * a1 * a6 + 4 * a2 * a6 - a1 * a3 * a4 + a2 * a3 * a3 - a4 * a4
-        disc = -(b2 * b2) * b8 - 8 * b4 ** 3 - 27 * b6 * b6 + 9 * b2 * b4 * b6
-        return disc.index
-
-    def _coeffs_in(self, R):
-        if R is self.field:
-            return self.a
-        hit = self._coeff_cache.get(id(R))
-        if hit is None:
-            hit = tuple(embed(self.field.from_index(i), R).index for i in self.a)
-            self._coeff_cache[id(R)] = hit
-        return hit
+        add, sub, mul, p = F.add, F.sub, F.mul, F.char
+        a1, a2, a3, a4, a6 = self.a
+        b2 = add(mul(a1, a1), mul(4 % p, a2))
+        b4 = add(mul(2 % p, a4), mul(a1, a3))
+        b6 = add(mul(a3, a3), mul(4 % p, a6))
+        b8 = sub(add(add(mul(mul(a1, a1), a6), mul(4 % p, mul(a2, a6))), mul(a2, mul(a3, a3))),
+                 add(mul(a1, mul(a3, a4)), mul(a4, a4)))
+        # -b2^2 b8 - 8 b4^3 - 27 b6^2 + 9 b2 b4 b6
+        return sub(mul(9 % p, mul(b2, mul(b4, b6))),
+                   add(add(mul(mul(b2, b2), b8), mul(8 % p, mul(b4, mul(b4, b4)))),
+                       mul(27 % p, mul(b6, b6))))
 
     @property
     def origin_place(self):
@@ -565,7 +554,7 @@ class EllipticCurve:
     # --- point enumeration and the group law (indices in R; None is O) ---
 
     def fiber(self, R, x):
-        a1, a2, a3, a4, a6 = self._coeffs_in(R)
+        a1, a2, a3, a4, a6 = self.a
         aa = R.add(R.mul(a1, x), a3)
         x2 = R.mul(x, x)
         bb = R.add(R.add(R.mul(x2, x), R.mul(a2, x2)),
@@ -594,7 +583,7 @@ class EllipticCurve:
     def neg_point(self, R, P):
         if P is None:
             return None
-        a1, _, a3, _, _ = self._coeffs_in(R)
+        a1, _, a3, _, _ = self.a
         x, y = P
         return (x, R.neg(R.add(R.add(y, R.mul(a1, x)), a3)))
 
@@ -603,14 +592,13 @@ class EllipticCurve:
             return Q
         if Q is None:
             return P
-        a1, a2, a3, a4, _ = self._coeffs_in(R)
+        a1, a2, a3, a4, _ = self.a
         x1, y1 = P
         x2, y2 = Q
         if x1 == x2 and Q == self.neg_point(R, P):
             return None
         if P == Q:
-            three = R.index_of(R._scalar_value(3))
-            two = R.index_of(R._scalar_value(2))
+            three, two = 3 % R.char, 2 % R.char
             num = R.sub(R.add(R.mul(three, R.mul(x1, x1)),
                               R.add(R.mul(two, R.mul(a2, x1)), a4)),
                         R.mul(a1, y1))
@@ -686,9 +674,9 @@ class EllipticCurve:
     def expand_branch(self, place, prec):
         """Series (x(t), y(t)) at the representative point, t a uniformizer."""
         R = place.residue_field
-        a1, a2, a3, a4, a6 = self._coeffs_in(R)
+        a1, a2, a3, a4, a6 = self.a
         x0, y0 = place.data
-        two = R.index_of(R._scalar_value(2))
+        two = 2 % R.char
         dy = R.add(R.mul(two, y0), R.add(R.mul(a1, x0), a3))
         if dy != 0:
             xs = Series(R, [x0, R.one_index], prec)
@@ -717,10 +705,7 @@ class EllipticCurve:
                 new[i + 1] = R.add(new[i + 1], c)
                 new[i] = R.add(new[i], R.mul(R.neg(xi), c))
             coeffs = new
-        if R is self.field:
-            return Polynomial._from_raw(self.field, tuple(coeffs))
-        down = [lift(R.from_index(c)) for c in coeffs]
-        return Polynomial(self.field, down)
+        return Polynomial._from_raw(self.field, _descend(self.field, coeffs))
 
     def riemann_roch(self, D):
         """L(D) by embedding into L(M*O).
@@ -747,13 +732,11 @@ class EllipticCurve:
         for p, _ in plus:
             relevant.add(self.flip_place(p))
         rows = []
-        u_raw = list(u.coeffs)
         for p in sorted(relevant, key=lambda q: q.sort_key()):
             R = p.residue_field
             prec0 = 2 * max(u.degree, 1) + 2
             xs, _ = self.expand_branch(p, prec0)
-            u_series = poly_on_series(R, [embed(F.from_index(c), R).index
-                                          if R is not F else c for c in u_raw], xs)
+            u_series = poly_on_series(R, u.coeffs, xs)
             vu = u_series.valuation()
             if vu is None:
                 raise PostconditionError("norm polynomial vanished identically")
@@ -812,11 +795,7 @@ class EllipticCurve:
         acc = None
         for pt in self.orbit_points(place):
             acc = self.add_points(R, acc, pt)
-        if acc is None or R is self.field:
-            return acc
-        x = lift(R.from_index(acc[0])).index
-        y = lift(R.from_index(acc[1])).index
-        return (x, y)
+        return None if acc is None else _descend(self.field, acc)
 
     def divisor_class_is_principal(self, D):
         """Abel-Jacobi: a degree-0 divisor is principal iff its points sum to
@@ -898,7 +877,7 @@ def _weierstrass_family(F):
 
 def _try_curve(F, coeffs):
     try:
-        return EllipticCurve(F, *(F.from_index(i) for i in coeffs))
+        return EllipticCurve(F, *coeffs)
     except ValueError:
         return None
 

@@ -6,7 +6,10 @@ extension field is a tuple of *indices* of base-field elements (little-endian
 coefficients of the residue class).  Every element therefore has a canonical
 integer index obtained by reading the coefficient tuple in base |base field|,
 which doubles as the serialization format and as the deterministic ordering
-used everywhere in this package.
+used everywhere in this package.  An element of a field keeps its index in
+every canonical extension F[t]/(f) (its tuple is (index, 0, ..., 0)), so the
+library passes indices between levels without converting them, and the
+integer k maps to the index k mod p at every level.
 
 Field objects are interned: asking twice for the same (base, modulus) pair
 returns the same object, so residue fields produced in different places are
@@ -16,7 +19,8 @@ operations are pure.
 
 from array import array
 
-TABLE_LIMIT = 1 << 16  # exp/log (Zech) index tables up to this size: O(size) memory
+TABLE_LIMIT = 1 << 16  # exp/log (Zech) index tables up to this size: O(size) memory,
+                       # built once the field has answered `size` index ops without them
 SCAN_LIMIT = 1 << 20   # never enumerate a field bigger than this
 
 
@@ -244,8 +248,9 @@ class _FieldBase:
     element values (int for prime fields, tuple of base indices for
     extensions).  Both views are exact and interchangeable.  Index ops are
     the fast path: prime fields compute them mod p, extension fields of at
-    most TABLE_LIMIT elements look them up in exp/log (Zech) tables, and
-    larger extension fields fall back to the value ops.
+    most TABLE_LIMIT elements look them up in exp/log (Zech) tables once
+    they have answered as many index ops as they have elements, and until
+    then, and in larger extension fields, index ops run on the value ops.
     """
 
     def element(self, x):
@@ -395,6 +400,7 @@ class ExtensionField(_FieldBase):
             rows.append(tuple(row))
         self._red_rows = rows
         self._exp = self._log = self._zech = None
+        self._untabled = 0  # index ops answered without tables
 
     def __repr__(self):
         return "GF(%d)" % self.size if self.size < 10 ** 9 else "GF(%d^%d)" % (self.base.size, self.deg)
@@ -479,16 +485,23 @@ class ExtensionField(_FieldBase):
 
     # --- index-level arithmetic ---
     #
-    # A field of at most TABLE_LIMIT elements builds, on first use and with
-    # about N vmul calls, tables over its smallest primitive element g:
+    # A field of N <= TABLE_LIMIT elements answers its first N index ops on
+    # the value ops, then builds, with about N vmul calls, tables over its
+    # smallest primitive element g.  The build costs what those ops cost, so
+    # a caller that does few ops in a large field never pays for it.  Tables:
     # _exp[k] = g^k (twice over, so a sum of two logs needs no reduction) and
     # _log[g^k] = k.  Odd characteristic adds _zech[k] = log(1 + g^k), so that
     # g^a + g^b = g^(a + Z[b - a]); a negative b - a indexes from the end,
     # which is its residue mod N - 1.  No Z[k] is 0, so 0 marks 1 + g^k = 0.
 
     def _ensure_tables(self):
-        """Build the tables of a table field; return _log, or None above the limit."""
+        """Count one index op; return _log, building the tables once this
+        field has answered `size` ops without them.  None until then, and
+        always above the limit."""
         if self._log is None and self.size <= TABLE_LIMIT:
+            if self._untabled < self.size:
+                self._untabled += 1
+                return None
             m = self.size - 1
             one = self.value_of(self.one_index)
             factors = _prime_factors(m)
@@ -713,7 +726,7 @@ def decode_element(field, data):
 
 
 def embed(x, target):
-    """Embed x into `target`, an extension field with base fieldx.field."""
+    """Embed x into `target`, an extension field with base field x.field."""
     if target is x.field:
         return x
     if isinstance(target, ExtensionField) and target.base is x.field:
@@ -840,14 +853,14 @@ class Polynomial:
         return Polynomial._from_raw(self.field, _pgcd(self.field, list(self.coeffs), list(other.coeffs)))
 
     def __call__(self, x):
-        """Evaluate at x, an element of this field or of an extension of it."""
+        """Evaluate at x, an element of this field or of an extension of it.
+        The coefficients keep their indices in the extension."""
         if isinstance(x, FieldElement) and x.field is not self.field:
-            acc = x.field.zero()
-            for c in reversed(self.coeffs):
-                acc = acc * x + embed(self.field.from_index(c), x.field)
-            return acc
+            if x.field.base is not self.field:
+                raise LevelMismatchError("no embedding of %s into %s" % (self.field, x.field))
+            return x.field.from_index(_peval(x.field, self.coeffs, x.index))
         x = self.field.element(x)
-        return self.field.from_index(_peval(self.field, list(self.coeffs), x.index))
+        return self.field.from_index(_peval(self.field, self.coeffs, x.index))
 
     def is_irreducible(self):
         return is_irreducible_raw(self.field, list(self.coeffs))

@@ -149,7 +149,7 @@ def _check_independent(curve, basis):
             except PoleEvaluationError:
                 continue
             for c in range(d):
-                col = [v.index if d == 1 else v.val[c] for v in vals]
+                col = [v if d == 1 else pl.residue_field.value_of(v)[c] for v in vals]
                 if space.add(col):
                     rank += 1
             if rank == basis.dimension:
@@ -180,7 +180,8 @@ def check_principality_agreement(curve, rng, trials=100):
 
 
 def check_eval_ring_hom(curve, rng, trials=30):
-    """evaluate(f*g, P) == evaluate(f, P) * evaluate(g, P) where defined."""
+    """evaluate(f*g, P) == evaluate(f, P) * evaluate(g, P) where defined;
+    values are element indices of the residue field of P."""
     if curve.genus == 0:
         basis = curve.riemann_roch(Divisor({curve.infinite_place: 3})).functions
     else:
@@ -193,7 +194,7 @@ def check_eval_ring_hom(curve, rng, trials=30):
         pl = places[rng.randrange(len(places))]
         try:
             lhs = (f * g).eval_at(pl)
-            rhs = f.eval_at(pl) * g.eval_at(pl)
+            rhs = pl.residue_field.mul(f.eval_at(pl), g.eval_at(pl))
         except PoleEvaluationError:
             continue
         assert lhs == rhs, (pl,)

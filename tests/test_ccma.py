@@ -428,6 +428,26 @@ def test_construct_postcondition_survives_optimize():
     assert done.returncode == 0, done.stderr
 
 
+FEW_OPS_SCRIPT = """
+from curvemul import ccma
+f = ccma.construct_case1(16, 4)
+E = f.tower.ext_field
+print(E.size, f.rank, E._log is None)
+"""
+
+
+def test_construct_16_4_leaves_f65536_tables_unbuilt():
+    # evaluation at the degree-4 place does a few dozen index ops in F_65536,
+    # fewer than the field's size, so the tables are never built; a fresh
+    # interpreter, because fields are interned across tests
+    src = os.path.dirname(os.path.dirname(ccma.__file__))
+    done = subprocess.run([sys.executable, "-c", FEW_OPS_SCRIPT],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["65536", "7", "True"]
+
+
 def test_compose_raises_on_corrupted_inner():
     inner = ccma.construct_case1(4, 2)
     with pytest.raises(ccma.VerificationError):

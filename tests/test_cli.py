@@ -154,3 +154,13 @@ def test_asym_negative_tmax_exit3(capsys):
 def test_brute_rank_max_below_one_exit3(capsys):
     code, out = run(capsys, "brute-rank", "--q", "2", "--n", "2", "--max", "0")
     assert code == 3 and "status=bad-input" in out and "rank_gt" not in out
+
+
+def test_search_budgets_exit3(capsys):
+    # the curve search stops at q = 64, whichever subcommand reaches it
+    code, out = run(capsys, "construct", "--q", "128", "--n", "2", "--catalog-index", "0")
+    assert code == 3 and "status=bad-input" in out and "q <= 64" in out
+    code, out = run(capsys, "curves", "--q", "128")
+    assert code == 3 and "status=bad-input" in out
+    code, out = run(capsys, "brute-rank", "--q", "2", "--n", "3", "--max", "6")
+    assert code == 3 and "status=bad-input" in out

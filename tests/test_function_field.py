@@ -6,8 +6,9 @@ import sys
 import pytest
 
 from curvemul import function_field, gf
-from curvemul.gf import prime_field, canonical_extension
+from curvemul.gf import Polynomial, prime_field, canonical_extension, embed
 from curvemul.function_field import (ProjectiveLine, EllipticCurve, Divisor, Place,
+                                     RationalFunction, CurveFunction,
                                      place_divisor, curve_search, best_stat_curves,
                                      catalog_rows, hasse_weil_max, solve_quadratic,
                                      degree_n_place_exists, BudgetExceededError,
@@ -81,7 +82,7 @@ def test_fiber_solver_matches_curve_equation():
     rng = random.Random(3)
     for E in (E_SS4, EllipticCurve(prime_field(5), 0, 0, 0, 1, 1)):
         R = E.field
-        a1, a2, a3, a4, a6 = E._coeffs_in(R)
+        a1, a2, a3, a4, a6 = E.a
         for x in range(R.size):
             ys = E.fiber(R, x)
             assert len(ys) == len(set(ys))
@@ -141,12 +142,12 @@ def test_rr_random_divisors():
 def test_eval_constant_and_residue():
     one = LINE2.riemann_roch(Divisor({})).functions[0]
     for pl in LINE2.places(1) + LINE2.places(2):
-        assert one.eval_at(pl) == one.eval_at(pl).field.one()
+        assert one.eval_at(pl) == pl.residue_field.one_index
     B = LINE2.riemann_roch(Divisor({LINE2.infinite_place: 1}))
     x_fn = B.functions[1]
     pl2 = LINE2.places(2)[0]
     v = x_fn.eval_at(pl2)
-    assert v.field is F4 and v.val == (0, 1)  # class of x -> generator of F4
+    assert pl2.residue_field is F4 and F4.value_of(v) == (0, 1)  # class of x -> generator of F4
 
 
 def test_eval_affine_and_origin():
@@ -154,11 +155,11 @@ def test_eval_affine_and_origin():
     one, x_fn, y_fn = B.functions[0], B.functions[1], B.functions[2]
     for p in E_SS.places(1):
         if p.kind == "affine":
-            assert x_fn.eval_at(p).index == p.data[0]
-            assert y_fn.eval_at(p).index == p.data[1]
+            assert x_fn.eval_at(p) == p.data[0]
+            assert y_fn.eval_at(p) == p.data[1]
     with pytest.raises(PoleEvaluationError):
         x_fn.eval_at(E_SS.origin_place)
-    assert one.eval_at(E_SS.origin_place) == F2.one()
+    assert one.eval_at(E_SS.origin_place) == F2.one_index
 
 
 def test_eval_ring_homomorphism():
@@ -173,8 +174,69 @@ def test_eval_at_degree2_place_genus1():
     B = E.riemann_roch(Divisor({E.origin_place: 4}))
     x_fn, y_fn = B.functions[1], B.functions[2]
     # evaluation is the representative's coordinates in the residue field
-    assert x_fn.eval_at(pl).index == pl.data[0]
-    assert y_fn.eval_at(pl).index == pl.data[1]
+    assert x_fn.eval_at(pl) == pl.data[0]
+    assert y_fn.eval_at(pl) == pl.data[1]
+
+
+def _horner(coeffs, F, x):
+    """The polynomial with F-index coefficients at x, with FieldElement
+    arithmetic: the public path, kept apart from eval_at's index ops."""
+    acc = x.field.zero()
+    for c in reversed(coeffs):
+        acc = acc * x + embed(F.from_index(c), x.field)
+    return acc
+
+
+def _random_poly(F, rng, degree):
+    """A polynomial of exactly this degree with seeded coefficients."""
+    return Polynomial(F, [F.from_index(rng.randrange(F.size)) for _ in range(degree)]
+                      + [F.from_index(rng.randrange(1, F.size))])
+
+
+@pytest.mark.parametrize("F", [F3, F4], ids=["F3", "F4"])
+def test_eval_at_matches_field_element_reference_genus0(F):
+    line = ProjectiveLine(F)
+    rng = random.Random(F.size)
+    places = line.places(2) + line.places(3)
+    assert sum(pl.data != pl.residue_field.modulus for pl in places) > 2  # roots scanned
+    checked = 0
+    for pl in places:
+        R = pl.residue_field
+        if pl.data == R.modulus:
+            rho = R.from_index(F.size)  # the generator t
+            assert R.value_of(F.size) == (0, F.one_index) + (0,) * (R.deg - 2)
+        else:
+            rho = next(x for x in R if not _horner(pl.data, F, x))  # smallest root
+        for _ in range(8):
+            num, den = _random_poly(F, rng, rng.randrange(4)), _random_poly(F, rng, rng.randrange(4))
+            den_v = _horner(den.coeffs, F, rho)
+            if den_v:
+                ref = _horner(num.coeffs, F, rho) / den_v
+                assert RationalFunction(F, num, den).eval_at(pl) == ref.index, (pl, num, den)
+                checked += 1
+    assert checked > 5 * len(places)
+
+
+@pytest.mark.parametrize("E,degrees", [(E_SS, (2, 3)), (E_SS4, (3,))], ids=["E_SS", "E_SS4"])
+def test_eval_at_matches_field_element_reference_genus1(E, degrees):
+    # E_SS4 is maximal over F4, so #E(F16) = #E(F4) and it has no degree-2
+    # places; its degree-3 places (residue field F64) stand in for them
+    F = E.field
+    rng = random.Random(E.field.size)
+    places = [pl for d in degrees for pl in E.places(d)]
+    assert places
+    checked = 0
+    for pl in places:
+        R = pl.residue_field
+        xe, ye = R.from_index(pl.data[0]), R.from_index(pl.data[1])
+        for _ in range(8):
+            anum, bnum, den = (_random_poly(F, rng, rng.randrange(4)) for _ in range(3))
+            den_v = _horner(den.coeffs, F, xe)
+            if den_v:
+                ref = (_horner(anum.coeffs, F, xe) + _horner(bnum.coeffs, F, xe) * ye) / den_v
+                assert CurveFunction(E, anum, bnum, den).eval_at(pl) == ref.index, pl
+                checked += 1
+    assert checked > 5 * len(places)
 
 
 # --- divisor classes --------------------------------------------------------
@@ -343,8 +405,8 @@ def test_eval_at_removable_singularity():
             m = E._norm_poly(pl)
             fx = CurveFunction(E, m * x, Polynomial(F, []), m)
             fy = CurveFunction(E, Polynomial(F, []), m, m)
-            assert fx.eval_at(pl).index == pl.data[0]
-            assert fy.eval_at(pl).index == pl.data[1]
+            assert fx.eval_at(pl) == pl.data[0]
+            assert fy.eval_at(pl) == pl.data[1]
 
 
 def test_flip_place_involution():

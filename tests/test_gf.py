@@ -93,6 +93,52 @@ def test_lift_outside_subfield():
         lift(gen)
 
 
+@pytest.mark.parametrize("F", [F2, F3, F4, F9], ids=["F2", "F3", "F4", "F9"])
+@pytest.mark.parametrize("d", [2, 3])
+def test_index_identity_across_levels(F, d):
+    # an element keeps its index in the canonical extension, and exactly the
+    # indices below |F| lift back
+    R = canonical_extension(F, d)
+    for c in range(F.size):
+        assert embed(F.from_index(c), R).index == c
+    for i in range(R.size):
+        if i < F.size:
+            assert lift(R.from_index(i)).index == i
+        else:
+            with pytest.raises(NotInSubfieldError):
+                lift(R.from_index(i))
+
+
+def test_polynomial_call_on_extension_elements():
+    f = Polynomial(F4, [F4.from_index(2), F4.from_index(3), 1])
+    for x in F16:
+        ref = F16.zero()
+        for c in reversed(f.coeffs):
+            ref = ref * x + embed(F4.from_index(c), F16)
+        assert f(x) == ref
+    with pytest.raises(LevelMismatchError):
+        f(canonical_extension(F2, 4).from_index(3))  # F_16 over F_2, not over F_4
+
+
+@pytest.mark.parametrize("q,n", [(3, 5), (2, 8)])
+def test_tables_deferred_until_size_ops(q, n):
+    # an uninterned copy of the canonical field, on which no index op has run
+    canonical = FieldTower.canonical(q, n).ext_field
+    E = gf.ExtensionField(canonical.base, canonical.modulus)
+    val, idx = E.value_of, E.index_of
+    rng = random.Random(q)
+    ops = [(E.mul, E.vmul), (lambda i, j: E.inv(i), lambda a, b: E.vinv(a))]
+    if E.char != 2:  # characteristic 2 adds and negates without tables
+        ops += [(E.add, E.vadd), (lambda i, j: E.neg(i), lambda a, b: E.vneg(a))]
+    for k in range(E.size + 50):
+        op, vop = ops[k % len(ops)]
+        i, j = rng.randrange(1, E.size), rng.randrange(1, E.size)  # zero skips the tables
+        assert op(i, j) == idx(vop(val(i), val(j))), (k, i, j)
+        if k < E.size - 1:
+            assert E._log is None, k
+    assert E._log is not None
+
+
 def test_axioms_random_sweep():
     rng = random.Random(20240801)
     for F in (F2, F3, F4, F8, F9, F16,
