@@ -164,7 +164,7 @@ def _degree_n_place_certified(q, n, g, curve):
     if sufficient_place_condition(q, n, g):
         return True
     # the sufficient condition only fails for small q^n; certify by counting
-    if curve is not None and q ** n <= (1 << 20):
+    if curve is not None:
         return degree_n_place_exists(curve, n)
     return False
 

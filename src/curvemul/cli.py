@@ -44,6 +44,10 @@ def _check_qn(q, n, for_construction):
 
 def _select_curves(args, field):
     """Candidate (genus, curve) attempts for cmd_construct, in order."""
+    if args.curve is not None and args.catalog_index is not None:
+        raise ValueError("--curve and --catalog-index each select the curve; give one")
+    if args.genus == 0 and (args.curve is not None or args.catalog_index is not None):
+        raise ValueError("--curve and --catalog-index select a genus-1 curve, not --genus 0")
     if args.curve is not None:
         coeffs = [int(c) for c in args.curve.split(",")]
         if len(coeffs) != 5:

@@ -1,8 +1,10 @@
 """Genus-0 and genus-1 function fields over F_q.
 
 Places, divisors, Riemann-Roch spaces, evaluation at places of arbitrary
-degree, exhaustive point counting, a principality test through the elliptic
-group law, and a searchable catalog of curves with (N1, N2) data.
+degree, exhaustive point counting (the oracle), point counts over every
+F_(q^k) from N1 through the zeta function, a principality test through the
+elliptic group law, and a searchable catalog of curves with (N1, N2) data:
+N1 counted, N2 from the zeta function.
 
 Conventions fixed once so that every run reproduces the same objects:
 
@@ -843,6 +845,18 @@ def hasse_weil_max(q):
     return q + 1 + math.isqrt(4 * q)
 
 
+def weil_counts(q, n1, kmax):
+    """[#E(F_(q^k)) for k = 1..kmax] of a genus-1 curve with #E(F_q) = n1.
+
+    N1 fixes the zeta function: with t = q + 1 - n1, the power sums
+    s_k = t*s_(k-1) - q*s_(k-2) (s_0 = 2, s_1 = t) give N_k = q^k + 1 - s_k."""
+    t = q + 1 - n1
+    s = [2, t]
+    for _ in range(2, kmax + 1):
+        s.append(t * s[-1] - q * s[-2])
+    return [q ** k + 1 - s[k] for k in range(1, kmax + 1)]
+
+
 def _weierstrass_family(F):
     """Deterministic iterator of (a1,..,a6) index tuples; the full q^5 sweep
     when small, else normal-form families covering every isomorphism class."""
@@ -883,8 +897,9 @@ def _try_curve(F, coeffs):
 
 
 def curve_search(field, min_n1, max_entries=None):
-    """Genus-1 curves over the field with N1 >= min_n1, each with verified
-    (N1, N2), sorted by N1 descending then by coefficient tuple."""
+    """Genus-1 curves over the field with N1 >= min_n1, sorted by N1
+    descending then by coefficient tuple.  N1 is counted; N2 follows from it
+    through the zeta function (weil_counts)."""
     q = field.size
     if q > 64:
         raise BudgetExceededError("curve search supports q <= 64")
@@ -901,7 +916,7 @@ def curve_search(field, min_n1, max_entries=None):
         found = found[:max_entries]
     out = []
     for coeffs, E, n1 in found:
-        n2 = (E.point_count(2) - n1) // 2
+        n2 = (weil_counts(q, n1, 2)[1] - n1) // 2
         out.append(CatalogEntry(E, n1, n2))
     return out
 
@@ -911,8 +926,9 @@ _best_curves_cache = {}
 
 def best_stat_curves(field):
     """Two catalog entries per field: the maximal-N1 curve and the maximal
-    N1+2N2 curve (N1+2N2 is the F_(q^2) point count); both N2 verified by
-    enumeration.  Scan stops early once both optima are provably reached."""
+    N1+2N2 curve (N1+2N2 is the F_(q^2) point count).  N1 is counted and N2
+    follows from it through the zeta function.  Scan stops early once both
+    optima are provably reached."""
     key = id(field)
     hit = _best_curves_cache.get(key)
     if hit is not None:
@@ -921,8 +937,8 @@ def best_stat_curves(field):
     if q > 64:
         raise BudgetExceededError("curve search supports q <= 64")
     hmax = hasse_weil_max(q)
-    best_n1 = None       # (n1, coeffs, curve)
-    best_flat = None     # (|t|, coeffs, curve)
+    best_n1 = None       # (n1, coeffs, curve, n1)
+    best_flat = None     # (|t|, coeffs, curve, n1)
     for coeffs in _weierstrass_family(field):
         E = _try_curve(field, coeffs)
         if E is None:
@@ -930,15 +946,14 @@ def best_stat_curves(field):
         n1 = E.point_count(1)
         t = abs(q + 1 - n1)
         if best_n1 is None or n1 > best_n1[0]:
-            best_n1 = (n1, coeffs, E)
+            best_n1 = (n1, coeffs, E, n1)
         if best_flat is None or t < best_flat[0]:
-            best_flat = (t, coeffs, E)
+            best_flat = (t, coeffs, E, n1)
         if best_n1[0] == hmax and best_flat[0] == 0:
             break
     entries = []
-    for _, _, E in (best_n1, best_flat):
-        n1 = E.point_count(1)
-        n2 = (E.point_count(2) - n1) // 2
+    for _, _, E, n1 in (best_n1, best_flat):
+        n2 = (weil_counts(q, n1, 2)[1] - n1) // 2
         entries.append(CatalogEntry(E, n1, n2))
     _best_curves_cache[key] = entries
     return entries
@@ -955,17 +970,12 @@ def catalog_rows(entries):
 
 
 def degree_n_place_exists(curve, n):
-    """Constructive or count-based certificate that a degree-n place exists."""
+    """Count-based certificate that a degree-n place exists: N1 is counted,
+    every #E(F_(q^d)) follows from it, and Moebius inversion gives places."""
     if curve.genus == 0:
         return True  # monic irreducibles of every degree exist
-    q = curve.field.size
-    if q ** n > POINT_BUDGET:
-        raise BudgetExceededError("cannot certify constructively within budget")
-    counts = {}
-    for d in sorted(set(_divisors(n))):
-        counts[d] = curve.point_count(d)
-    n_places = counts[n] - sum(d * _place_count(curve, d, counts) for d in _divisors(n) if d < n)
-    return n_places > 0
+    counts = dict(enumerate(weil_counts(curve.field.size, curve.point_count(1), n), 1))
+    return _place_count(curve, n, counts) > 0
 
 
 def _divisors(n):

@@ -66,16 +66,6 @@ def check_fermat(field):
     return field.size
 
 
-def weil_counts_from_n1(q, n1, kmax):
-    """#E(F_(q^k)) for k <= kmax from #E(F_q) via the trace recursion
-    s_k = a*s_(k-1) - q*s_(k-2); an oracle independent of enumeration."""
-    a = q + 1 - n1
-    s = [2, a]
-    for _ in range(2, kmax + 1):
-        s.append(a * s[-1] - q * s[-2])
-    return [q ** k + 1 - s[k] for k in range(1, kmax + 1)]
-
-
 def check_place_partition(curve, kmax=4):
     """sum over d | k of d * (#places of degree d) == #points over F_(q^k)."""
     q = curve.field.size

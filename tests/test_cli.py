@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from curvemul.cli import main
 
 
@@ -125,6 +127,19 @@ def test_construct_with_explicit_curve(capsys):
     code, out = run(capsys, "construct", "--q", "4", "--n", "4",
                     "--curve", "0,0,1,0,0")
     assert code == 0 and "rank=8" in out
+    code, out = run(capsys, "construct", "--q", "4", "--n", "4", "--genus", "1",
+                    "--curve", "0,0,1,0,0")
+    assert code == 0 and "rank=8" in out
+
+
+@pytest.mark.parametrize("selectors", [
+    ("--genus", "0", "--curve", "0,0,1,0,0"),
+    ("--genus", "0", "--catalog-index", "0"),
+    ("--curve", "0,0,1,0,0", "--catalog-index", "0"),
+])
+def test_construct_conflicting_curve_selectors_exit3(capsys, selectors):
+    code, out = run(capsys, "construct", "--q", "4", "--n", "2", *selectors)
+    assert code == 3 and "status=bad-input" in out
 
 
 def test_construct_catalog_index(capsys):

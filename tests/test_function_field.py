@@ -11,12 +11,12 @@ from curvemul.function_field import (ProjectiveLine, EllipticCurve, Divisor, Pla
                                      RationalFunction, CurveFunction,
                                      place_divisor, curve_search, best_stat_curves,
                                      catalog_rows, hasse_weil_max, solve_quadratic,
-                                     degree_n_place_exists, BudgetExceededError,
-                                     PoleEvaluationError)
+                                     degree_n_place_exists, weil_counts,
+                                     BudgetExceededError, PoleEvaluationError)
 
 from invariants import (check_place_partition, check_hasse, check_rr_random,
                         check_principality_agreement, check_eval_ring_hom,
-                        weil_counts_from_n1, verify_rr_basis)
+                        verify_rr_basis)
 
 F2 = prime_field(2)
 F3 = prime_field(3)
@@ -52,11 +52,18 @@ def test_genus1_place_counts():
 def test_point_count_vs_weil_recursion():
     for E in (E_SS, E_SS4, EllipticCurve(F3, 0, 0, 0, 1, 0)):
         q = E.field.size
-        counts = weil_counts_from_n1(q, E.point_count(1), 4)
+        counts = weil_counts(q, E.point_count(1), 4)
         for k in range(1, 5):
             if q ** k > (1 << 16):
                 break
             assert E.point_count(k) == counts[k - 1], (E, k)
+    # every curve of the F2, F3 and F4 sweeps against the enumerative oracle,
+    # and the catalog's N2 with it
+    for q, F in ((2, F2), (3, F3), (4, F4)):
+        for e in curve_search(F, 0):
+            counts = [e.curve.point_count(k) for k in (1, 2, 3)]
+            assert weil_counts(q, counts[0], 3) == counts, e
+            assert e.n1 == counts[0] and e.n2 == (counts[1] - counts[0]) // 2, e
 
 
 def test_place_partition_identity():
@@ -346,6 +353,14 @@ def test_degree_n_place_certificates():
     E5 = curve_search(F2, 5)[0].curve
     n2 = (E5.point_count(2) - E5.point_count(1)) // 2
     assert degree_n_place_exists(E5, 2) == (n2 > 0)
+    # counted from N1 alone, so no point budget: 4^11 = 2^22
+    assert degree_n_place_exists(E_SS4, 11)
+    for curve in (E_SS, E_SS4, E5):
+        q = curve.field.size
+        n = 1
+        while q ** n <= (1 << 12):
+            assert degree_n_place_exists(curve, n) == (len(curve.places(n)) > 0), (curve, n)
+            n += 1
 
 
 def test_quadratic_solver_all_chars():

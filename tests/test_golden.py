@@ -3,8 +3,9 @@ certificates, pinned byte for byte.
 
 Refactors must not change what curvemul writes.  The files under
 tests/golden/ were recorded before the element-representation refactor
-with `PYTHONPATH=src python tests/test_golden.py`, which rewrites them from
-the code it imports; the test recomputes every output and compares bytes.
+(`curves_q8_min13.txt` before N2 came from the zeta function) with
+`PYTHONPATH=src python tests/test_golden.py`, which rewrites them from the
+code it imports; the test recomputes every output and compares bytes.
 """
 
 import contextlib
@@ -55,6 +56,7 @@ def golden_outputs():
     out["compare_table.txt"] = _cli("compare-table")
     out["curves_q4.txt"] = _cli("curves", "--q", "4")
     out["curves_q5.txt"] = _cli("curves", "--q", "5")
+    out["curves_q8_min13.txt"] = _cli("curves", "--q", "8", "--min-n1", "13")
     out["bound_depth3.txt"] = "".join(_cli("bound", "--q", str(q), "--n", str(n), "--depth", "3")
                                       for q in BOUND_QS for n in BOUND_NS)
     return out
