@@ -15,6 +15,7 @@ small brute-force oracle computes exact symmetric ranks for tiny tensors.
 
 import itertools
 import json
+import operator
 import random
 
 from . import gf, linalg
@@ -149,8 +150,11 @@ def verify(formula, mode="auto", pairs=DEFAULT_SAMPLES, seed=0):
     pairs e_j*e_k with j <= k.  Mode 'exhaustive' sweeps all q^(2n) pairs and
     refuses when q^n > 256; mode 'sampled' checks `pairs` seeded random
     pairs; 'auto' picks whichever of these two is affordable.  The scans are
-    independent cross-checks of the proof.  Failures are reported, not
-    raised; a failure names a concrete pair (x, y) by element indices.
+    independent cross-checks of the proof: they read the linear forms by
+    table lookup over index digits (_form_reader) and compare against E.mul
+    (exhaustive) or vmul (sampled).  Failures are reported, not raised; a
+    failure names a concrete pair (x, y) by element indices, the first in
+    the scan's order.
     """
     mode = verify_mode(formula.tower.ext_field.size, mode, pairs)
     if mode == "tensor":
@@ -207,70 +211,115 @@ def _verify_tensor(formula):
     return VerificationReport(True, "tensor", len(products))
 
 
-def _form_values(formula, v):
-    """[x_i*(v) for each term i] as F_q indices, for a raw value v."""
-    Fq = formula.tower.base_field
-    fadd, fmul = Fq.add, Fq.mul
-    out = []
-    for xs, _ in formula.terms:
+def _form_reader(formula):
+    """read(i) = [x_t*(x) for each term t] as F_q indices, where i is the
+    index of x in F_(q^n), by one table lookup per chunk of i's digits.
+
+    x -> (x_1*(x), ..., x_r*(x)) is F_p-linear in the base-p digits of i.
+    A chunk is 8 bits in characteristic 2, else as many digits as keep its
+    table at <= 256 entries (one digit when p > 256).  Its table maps the
+    chunk to one int that holds every F_p digit of every form value in its
+    own bit field, built from the forms' values on the unit indices p^j.
+    Characteristic 2 combines the chunks by XOR; odd characteristic adds
+    plain ints, with fields wide enough that the sum cannot carry, and
+    reduces each digit mod p once when unpacking.
+    """
+    Fq, p = formula.tower.base_field, formula.tower.p
+    s, digits = Fq.degree, formula.tower.ext_field.degree
+    k = 1
+    while p ** (k + 1) <= 256:
+        k += 1
+    width = 1 if p == 2 else (-(-digits // k) * k * (p - 1) ** 2).bit_length()
+    shifts = range(0, formula.rank * s * width, width)  # digit f % s of form f // s
+    combine = operator.xor if p == 2 else operator.add
+    tables = []
+    for c in range(0, digits, k):
+        table = [0]
+        for j in range(c, min(c + k, digits)):  # the forms on the unit index p^j
+            vals = [Fq.mul(xs[j // s], p ** (j % s)) for xs, _ in formula.terms]
+            u = sum(vals[f // s] // p ** (f % s) % p << sh for f, sh in enumerate(shifts))
+            table = [combine(a, d * u) for d in range(p) for a in table]
+        tables.append(table)
+    if p == 2:
+        starts, qmask = shifts[::s], Fq.size - 1
+
+        def read(i):
+            acc = 0
+            for table in tables:
+                acc ^= table[i & 255]
+                i >>= 8
+            return [acc >> sh & qmask for sh in starts]
+        return read
+    base, mask, weights = p ** k, (1 << width) - 1, [p ** (f % s) for f in range(len(shifts))]
+
+    def read(i):
         acc = 0
-        for w, xc in zip(xs, v):
-            if w and xc:
-                acc = fadd(acc, fmul(w, xc))
-        out.append(acc)
-    return out
+        for table in tables:
+            i, c = divmod(i, base)
+            acc += table[c]
+        vals = [(acc >> sh & mask) % p * w for sh, w in zip(shifts, weights)]
+        return vals if s == 1 else [sum(vals[f:f + s]) for f in range(0, len(vals), s)]
+    return read
 
 
-def _scaled_constants(formula):
-    """scaled[i][s] = index of s*c_i, for each term i and each s in F_q."""
+def _term_sum(formula):
+    """term_sum(a, b) = index of sum_t a_t*b_t*c_t, for form values a and b
+    as read by _form_reader, through one table of s*c_t per term."""
     E = formula.tower.ext_field
     fmul = E.base.mul
-    return [[E.index_of(tuple(fmul(s, cc) for cc in c)) for s in range(E.base.size)]
-            for _, c in formula.terms]
+    add = operator.xor if E.char == 2 else E.add
+    scaled = [[E.index_of(tuple(fmul(s, cc) for cc in c)) for s in range(E.base.size)]
+              for _, c in formula.terms]
+
+    def term_sum(a, b):
+        acc = 0
+        for x, y, sc in zip(a, b, scaled):
+            s = fmul(x, y)
+            if s:
+                acc = add(acc, sc[s])
+        return acc
+    return term_sum
 
 
 def _verify_exhaustive(formula):
-    E = formula.tower.ext_field
-    fmul = formula.tower.base_field.mul
-    size = E.size
-    star = [_form_values(formula, E.value_of(i)) for i in range(size)]
-    scaled = _scaled_constants(formula)
-    emul, eadd = E.mul, E.add
-    rng_terms = range(formula.rank)
+    """All q^(2n) pairs, row by row.  y -> formula(x, y) is F_p-linear in
+    the digits of y, so row x is spanned from its columns formula(x, p^j):
+    row[y] = row[y - p^j] + col_j.  The right-hand side is E.mul, compared
+    in row-major order."""
+    E, p = formula.tower.ext_field, formula.tower.p
+    emul, size = E.mul, E.size
+    add = operator.xor if p == 2 else E.add
+    read, term_sum = _form_reader(formula), _term_sum(formula)
+    units = [read(p ** j) for j in range(E.degree)]
     for ix in range(size):
-        sx = star[ix]
-        for iy in range(size):
-            sy = star[iy]
-            acc = 0
-            for i in rng_terms:
-                s = fmul(sx[i], sy[i])
-                if s:
-                    acc = eadd(acc, scaled[i][s])
-            if acc != emul(ix, iy):
-                return VerificationReport(False, "exhaustive", ix * size + iy + 1,
-                                          first_failure=(ix, iy))
+        sx = read(ix)
+        row = [0]
+        for su in units:
+            col = term_sum(sx, su)
+            seg = row
+            for _ in range(p - 1):
+                seg = [add(a, col) for a in seg]
+                row = row + seg
+        if row != [emul(ix, iy) for iy in range(size)]:
+            iy = next(iy for iy in range(size) if row[iy] != emul(ix, iy))
+            return VerificationReport(False, "exhaustive", ix * size + iy + 1,
+                                      first_failure=(ix, iy))
     return VerificationReport(True, "exhaustive", size * size)
 
 
 def _verify_sampled(formula, pairs, seed):
-    """`pairs` seeded random pairs.  The right-hand side is vmul on the raw
-    values, so the field's index tables never check themselves."""
+    """`pairs` seeded random pairs, the forms read by _form_reader.  The
+    right-hand side is vmul on the raw values, so the field's index tables
+    never check themselves."""
     E = formula.tower.ext_field
-    fmul = formula.tower.base_field.mul
-    eadd, value_of, index_of, vmul = E.add, E.value_of, E.index_of, E.vmul
-    scaled = _scaled_constants(formula)
+    value_of, index_of, vmul = E.value_of, E.index_of, E.vmul
+    read, term_sum = _form_reader(formula), _term_sum(formula)
     rng = random.Random(seed)
     size = E.size
     for k in range(pairs):
         ix = rng.randrange(size)
         iy = rng.randrange(size)
-        xv, yv = value_of(ix), value_of(iy)
-        acc = 0
-        for a, b, sc in zip(_form_values(formula, xv), _form_values(formula, yv), scaled):
-            s = fmul(a, b)
-            if s:
-                acc = eadd(acc, sc[s])
-        if acc != index_of(vmul(xv, yv)):
+        if term_sum(read(ix), read(iy)) != index_of(vmul(value_of(ix), value_of(iy))):
             return VerificationReport(False, "sampled", k + 1, first_failure=(ix, iy), seed=seed)
     return VerificationReport(True, "sampled", pairs, seed=seed)
 

@@ -6,6 +6,7 @@ per line so scripts can grep results.
 """
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -192,6 +193,7 @@ def cmd_brute_rank(args):
     return EXIT_OK
 
 
+@functools.cache  # one parser per process; each parse returns a fresh namespace
 def build_parser():
     parser = _Parser(prog="curvemul",
                      description="symmetric multiplication formulas and rank bounds "
@@ -204,7 +206,8 @@ def build_parser():
             p.add_argument("--n", type=int, required=True, help="extension degree")
 
     def add_verify_opts(p):
-        p.add_argument("--mode", choices=("auto", "exhaustive", "sampled"), default="auto")
+        p.add_argument("--mode", choices=("auto", "tensor", "exhaustive", "sampled"),
+                       default="auto")
         p.add_argument("--pairs", type=int, default=ccma.DEFAULT_SAMPLES)
         p.add_argument("--seed", type=int, default=0)
 

@@ -169,12 +169,25 @@ def _with_extra_term(f, form_index):
         f.tower, f.terms + ((form, E.value_of(E.one_index)),), f.provenance)
 
 
+# A wrong term makes an error ell(x) ell(y) c, nonzero on (1 - 1/q)^2 of the
+# pairs, so small q and several seeds put first failures beyond pair 1.  The
+# cases cover every chunk layout of the form reader: whole and partial bytes
+# in characteristic 2 (F_(2^9), and F_(2^20) whose index spans three bytes,
+# the extra terms reading the last), five-digit chunks over F_3 and over F_9
+# (the extra term's coordinate straddles two chunks), and one wide digit per
+# chunk for the prime q = 251.
 @pytest.mark.parametrize("make", [
     lambda: _with_extra_term(schoolbook_formula(2, 9), 8),
     lambda: _with_extra_term(schoolbook_formula(3, 6), 2),
     lambda: corrupt_off_diagonal(ccma.construct_case1(16, 3)),
     lambda: ccma.construct_case1(16, 3),
-], ids=["schoolbook-2-9", "schoolbook-3-6", "off-diagonal-16-3", "case1-16-3"])
+    lambda: _with_extra_term(ccma.construct_case1(9, 3), 2),
+    lambda: _with_extra_term(schoolbook_formula(2, 20), 19),
+    lambda: _with_extra_term(ccma.construct_case1(16, 5), 4),
+    lambda: ccma.construct_case1(251, 2),
+    lambda: _with_extra_term(ccma.construct_case1(251, 2), 1),
+], ids=["schoolbook-2-9", "schoolbook-3-6", "off-diagonal-16-3", "case1-16-3",
+        "extra-9-3", "schoolbook-2-20", "extra-16-5", "case1-251-2", "extra-251-2"])
 def test_sampled_report_matches_apply_reference(make):
     f = make()
     assert f.tower.ext_field.size > ccma.EXHAUSTIVE_LIMIT
@@ -358,6 +371,7 @@ SMALL_FORMULAS = {
     "case1-3-2": lambda: ccma.construct_case1(3, 2),
     "case1-4-3": lambda: ccma.construct_case1(4, 3),
     "case1-16-2": lambda: ccma.construct_case1(16, 2),
+    "case1-9-2": lambda: ccma.construct_case1(9, 2),
     "case3-2-3": lambda: ccma.construct_case3(2, 3),
     "case3-3-3": lambda: ccma.construct_case3(3, 3),
     "case3-4-4": lambda: ccma.construct_case3(4, 4),
@@ -382,6 +396,31 @@ def test_tensor_agrees_with_exhaustive(name):
         assert tensor.passed is ccma.verify(g, "exhaustive").passed is expected
         n = g.tower.n
         assert tensor.pairs_checked <= n * (n + 1) // 2
+
+
+def _exhaustive_reference(formula):
+    """The exhaustive sweep written with the public API, in row-major order."""
+    E = formula.tower.ext_field
+    for ix in range(E.size):
+        x = E.from_index(ix)
+        for iy in range(E.size):
+            y = E.from_index(iy)
+            if formula.apply(x, y) != x * y:
+                return False, ix * E.size + iy + 1, (ix, iy)
+    return True, E.size ** 2, None
+
+
+@pytest.mark.parametrize("name", [
+    "case1-2-2", "case3-2-3", "schoolbook-4-2", "case1-4-3",
+    "case1-3-2", "case3-3-3", "compose-3-4", "case1-9-2"])
+def test_exhaustive_report_matches_apply_reference(name):
+    # the row-by-row sweep must report the first failing pair of the plain
+    # row-major loop, over F_2, F_4, F_3 and F_9 bases
+    f = SMALL_FORMULAS[name]()
+    n = f.tower.n
+    for g in (f, corrupt_constant(f), corrupt_off_diagonal(f), _with_extra_term(f, n - 1)):
+        rep = ccma.verify(g, "exhaustive")
+        assert (rep.passed, rep.pairs_checked, rep.first_failure) == _exhaustive_reference(g)
 
 
 def test_construct_raises_on_corrupted_formula(monkeypatch):

@@ -179,3 +179,21 @@ def test_search_budgets_exit3(capsys):
     assert code == 3 and "status=bad-input" in out
     code, out = run(capsys, "brute-rank", "--q", "2", "--n", "3", "--max", "6")
     assert code == 3 and "status=bad-input" in out
+
+
+def test_tensor_mode(tmp_path, capsys):
+    f = str(tmp_path / "f165.json")
+    code, out = run(capsys, "construct", "--q", "16", "--n", "5", "--mode", "tensor",
+                    "--out", f)
+    assert code == 0 and "verified=tensor pairs=15 seed=0" in out
+    code, out = run(capsys, "verify", "--file", f, "--mode", "tensor")
+    assert code == 0 and "status=ok" in out and "mode=tensor pairs=15 seed=0" in out
+    # the parser is shared between calls, but no option value carries over
+    code, out = run(capsys, "verify", "--file", f, "--pairs", "7")
+    assert code == 0 and "mode=sampled pairs=7 seed=0" in out
+    data = json.loads(open(f).read())
+    data["terms"][0]["c"] ^= 1
+    with open(f, "w") as fh:
+        json.dump(data, fh)
+    code, out = run(capsys, "verify", "--file", f, "--mode", "tensor")
+    assert code == 1 and "status=fail" in out and "mode=tensor" in out and "failure=(" in out
