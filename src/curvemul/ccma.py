@@ -152,9 +152,9 @@ def verify(formula, mode="auto", pairs=DEFAULT_SAMPLES, seed=0):
     pairs; 'auto' picks whichever of these two is affordable.  The scans are
     independent cross-checks of the proof: they read the linear forms by
     table lookup over index digits (_form_reader) and compare against E.mul
-    (exhaustive) or vmul (sampled).  Failures are reported, not raised; a
-    failure names a concrete pair (x, y) by element indices, the first in
-    the scan's order.
+    (exhaustive) or E.direct_mul, which reads none of E's tables (sampled).
+    Failures are reported, not raised; a failure names a concrete pair
+    (x, y) by element indices, the first in the scan's order.
     """
     mode = verify_mode(formula.tower.ext_field.size, mode, pairs)
     if mode == "tensor":
@@ -264,8 +264,22 @@ def _form_reader(formula):
 
 def _term_sum(formula):
     """term_sum(a, b) = index of sum_t a_t*b_t*c_t, for form values a and b
-    as read by _form_reader, through one table of s*c_t per term."""
+    as read by _form_reader, through one table of s*c_t per term.  Over a
+    characteristic-2 base with log tables the table is indexed by log s =
+    log a_t + log b_t (E.base_multiples of c_t), so no F_q product is made."""
     E = formula.tower.ext_field
+    logs = E.char == 2 and E.base.log_tables()
+    if logs:
+        log = logs[1]
+        scaled = [E.base_multiples(c) for _, c in formula.terms]
+
+        def term_sum(a, b):
+            acc = 0
+            for x, y, sc in zip(a, b, scaled):
+                if x and y:
+                    acc ^= sc[log[x] + log[y]]
+            return acc
+        return term_sum
     fmul = E.base.mul
     add = operator.xor if E.char == 2 else E.add
     scaled = [[E.index_of(tuple(fmul(s, cc) for cc in c)) for s in range(E.base.size)]
@@ -309,17 +323,18 @@ def _verify_exhaustive(formula):
 
 def _verify_sampled(formula, pairs, seed):
     """`pairs` seeded random pairs, the forms read by _form_reader.  The
-    right-hand side is vmul on the raw values, so the field's index tables
-    never check themselves."""
+    right-hand side is E.direct_mul, which reads none of E's own tables, so
+    they never check themselves: the characteristic-2 kernel on indices,
+    else vmul on the raw values."""
     E = formula.tower.ext_field
-    value_of, index_of, vmul = E.value_of, E.index_of, E.vmul
+    direct = E.direct_mul()
     read, term_sum = _form_reader(formula), _term_sum(formula)
     rng = random.Random(seed)
     size = E.size
     for k in range(pairs):
         ix = rng.randrange(size)
         iy = rng.randrange(size)
-        if term_sum(read(ix), read(iy)) != index_of(vmul(value_of(ix), value_of(iy))):
+        if term_sum(read(ix), read(iy)) != direct(ix, iy):
             return VerificationReport(False, "sampled", k + 1, first_failure=(ix, iy), seed=seed)
     return VerificationReport(True, "sampled", pairs, seed=seed)
 
@@ -527,14 +542,34 @@ def _construct(q, n, curve, case, verify_mode, pairs, seed):
                             best_rank=best_rank_seen)
 
 
+class Replay:
+    """A re-iterable view of an iterator: each item is pulled from it once,
+    when an iteration first reaches it."""
+
+    def __init__(self, items):
+        self._items, self._seen = iter(items), []
+
+    def __iter__(self):
+        k = 0
+        while k < len(self._seen) or self._pull():
+            yield self._seen[k]
+            k += 1
+
+    def _pull(self):
+        for item in self._items:
+            self._seen.append(item)
+            return True
+        return False
+
+
 def _q_place_candidates(tower, curve, n, count=8):
+    """The places Q to try, in order.  On the line, the place of the tower's
+    modulus comes first and almost always serves, so the other degree-n
+    places are searched for only when an attempt reaches them."""
     if curve.genus == 0:
         canonical = curve.place_of_poly(tower.ext_poly)
-        out = [canonical]
-        for pl in itertools.islice((p for p in curve.iter_places(n) if p != canonical),
-                                   count - 1):
-            out.append(pl)
-        return out
+        others = (p for p in curve.iter_places(n) if p != canonical)
+        return Replay(itertools.chain([canonical], itertools.islice(others, count - 1)))
     try:
         out = _first_places(curve, n, count)
     except BudgetExceededError:

@@ -59,19 +59,24 @@ def _select_curves(args, field):
         if not 0 <= args.catalog_index < len(entries):
             raise ValueError("catalog index out of range")
         return [(1, entries[args.catalog_index].curve)]
-    out = []
     genera = [args.genus] if args.genus is not None else [0, 1]
-    for g in genera:
-        if g == 0:
-            out.append((0, None))
-        else:
-            try:
-                for entry in best_stat_curves(field):
-                    if all(c is not entry.curve for _, c in out):
-                        out.append((1, entry.curve))
-            except BudgetExceededError:
-                pass
-    return out
+    return ccma.Replay(_genus_attempts(field, genera))
+
+
+def _genus_attempts(field, genera):
+    """Lazy, so the genus-1 catalogue is searched only if genus 0 fails."""
+    if 0 in genera:
+        yield 0, None
+    if 1 in genera:
+        try:
+            entries = best_stat_curves(field)
+        except BudgetExceededError:
+            return
+        curves = []
+        for entry in entries:
+            if all(c is not entry.curve for c in curves):
+                curves.append(entry.curve)
+                yield 1, entry.curve
 
 
 def cmd_construct(args):

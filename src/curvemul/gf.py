@@ -250,7 +250,8 @@ class _FieldBase:
     the fast path: prime fields compute them mod p, extension fields of at
     most TABLE_LIMIT elements look them up in exp/log (Zech) tables once
     they have answered as many index ops as they have elements, and until
-    then, and in larger extension fields, index ops run on the value ops.
+    then, and in larger extension fields, index ops run on the value ops,
+    except products above TABLE_LIMIT in characteristic 2 (direct_mul).
     """
 
     def element(self, x):
@@ -363,6 +364,11 @@ class PrimeField(_FieldBase):
     def value_of(self, i):
         return i
 
+    def log_tables(self):
+        """F_2's (exp, log) in the layout of ExtensionField.log_tables, over
+        g = 1; None for odd p, which no caller needs."""
+        return ([1, 1], [0, 0]) if self.p == 2 else None
+
 
 class ExtensionField(_FieldBase):
     """F[x]/(modulus) for a monic irreducible modulus over the base field F.
@@ -401,6 +407,7 @@ class ExtensionField(_FieldBase):
         self._red_rows = rows
         self._exp = self._log = self._zech = None
         self._untabled = 0  # index ops answered without tables
+        self._direct = None  # direct_mul, built on first use
 
     def __repr__(self):
         return "GF(%d)" % self.size if self.size < 10 ** 9 else "GF(%d^%d)" % (self.base.size, self.deg)
@@ -493,6 +500,11 @@ class ExtensionField(_FieldBase):
     # _log[g^k] = k.  Odd characteristic adds _zech[k] = log(1 + g^k), so that
     # g^a + g^b = g^(a + Z[b - a]); a negative b - a indexes from the end,
     # which is its residue mod N - 1.  No Z[k] is 0, so 0 marks 1 + g^k = 0.
+    #
+    # Characteristic 2 adds by XOR at every size, and above TABLE_LIMIT
+    # multiplies with direct_mul, a kernel on index digits that reads only
+    # the base field's tables.  Below the limit a field keeps the value ops
+    # until its own tables exist: there a kernel would not pay for itself.
 
     def _ensure_tables(self):
         """Count one index op; return _log, building the tables once this
@@ -502,29 +514,32 @@ class ExtensionField(_FieldBase):
             if self._untabled < self.size:
                 self._untabled += 1
                 return None
-            m = self.size - 1
-            one = self.value_of(self.one_index)
-            factors = _prime_factors(m)
-            g = next(v for v in map(self.value_of, range(1, self.size))
-                     if all(self.vpow(v, m // r) != one for r in factors))
-            # While every entry is a cached small int a list costs one pointer
-            # per entry and indexes fastest; larger fields use 2-byte arrays.
-            zero = [0] if self.size <= 256 else array("H", [0])
-            exp, log = zero * (2 * m), zero * self.size
-            v = one
-            for k in range(m):
-                i = self.index_of(v)
-                exp[k] = exp[k + m] = i
-                log[i] = k
-                v = self.vmul(v, g)
-            if self.char != 2:
-                b, badd, bone = self.base.size, self.base.add, self.base.one_index
-                zech = self._zech = zero * m
-                for k in range(m):
-                    i = exp[k]
-                    zech[k] = log[i - i % b + badd(i % b, bone)]
-            self._exp, self._log = exp, log
+            self._build_tables()
         return self._log
+
+    def _build_tables(self):
+        m = self.size - 1
+        one = self.value_of(self.one_index)
+        factors = _prime_factors(m)
+        g = next(v for v in map(self.value_of, range(1, self.size))
+                 if all(self.vpow(v, m // r) != one for r in factors))
+        # While every entry is a cached small int a list costs one pointer
+        # per entry and indexes fastest; larger fields use 2-byte arrays.
+        zero = [0] if self.size <= 256 else array("H", [0])
+        exp, log = zero * (2 * m), zero * self.size
+        v = one
+        for k in range(m):
+            i = self.index_of(v)
+            exp[k] = exp[k + m] = i
+            log[i] = k
+            v = self.vmul(v, g)
+        if self.char != 2:
+            b, badd, bone = self.base.size, self.base.add, self.base.one_index
+            zech = self._zech = zero * m
+            for k in range(m):
+                i = exp[k]
+                zech[k] = log[i - i % b + badd(i % b, bone)]
+        self._exp, self._log = exp, log
 
     def add(self, i, j):
         if self.char == 2:
@@ -551,6 +566,8 @@ class ExtensionField(_FieldBase):
             return 0
         log = self._log or self._ensure_tables()
         if log is None:
+            if self.size > TABLE_LIMIT:
+                return (self._direct or self.direct_mul())(i, j)
             return self.index_of(self.vmul(self.value_of(i), self.value_of(j)))
         return self._exp[log[i] + log[j]]
 
@@ -561,6 +578,64 @@ class ExtensionField(_FieldBase):
         if log is None:
             return self.index_of(self.vinv(self.value_of(i)))
         return self._exp[self.size - 1 - log[i]]
+
+    def log_tables(self):
+        """(_exp, _log), built now if need be; None above TABLE_LIMIT."""
+        if self.size > TABLE_LIMIT:
+            return None
+        if self._log is None:
+            self._build_tables()
+        return self._exp, self._log
+
+    def base_multiples(self, v):
+        """[index of g^l * v for l < 2(|B| - 1)]: the raw value v times each
+        entry of the base field B's exp table, over B's generator g."""
+        bmul = self.base.mul
+        return [self.index_of(tuple(bmul(e, c) for c in v)) for e in self.base.log_tables()[0]]
+
+    def direct_mul(self):
+        """The index product that reads none of this field's own tables: the
+        characteristic-2 kernel (_char2_product) over a base with log
+        tables, else vmul on values.  Built on first use."""
+        if self._direct is None:
+            logs = self.char == 2 and self.base.log_tables()
+            if logs:
+                self._direct = _char2_product(self, logs[1])
+            else:
+                value_of, index_of, vmul = self.value_of, self.index_of, self.vmul
+                self._direct = lambda i, j: index_of(vmul(value_of(i), value_of(j)))
+        return self._direct
+
+
+def _char2_product(E, log):
+    """i*j on indices of E = B[t]/(f) in characteristic 2, where log is B's
+    log table over its generator g.  An index is d digits of s = log2 |B|
+    bits, and i*j is the XOR of g^(log a_u + log b_v) t^(u+v) over the
+    nonzero digit pairs: one lookup each in the (2d - 1) x 2(|B| - 1) table
+    of E.base_multiples of t^k, whose rows for k >= d are the reduction
+    rows.  The table holds 270 ints for F_(16^5), 78 for F_(2^20)."""
+    d, mask = E.deg, E.base.size - 1
+    s, w = mask.bit_length(), 2 * mask
+    units = [E.value_of(E.base.size ** k) for k in range(d)]  # t^k, k < d
+    table = [x for v in units + E._red_rows[:d - 1] for x in E.base_multiples(v)]
+    starts = range(0, d * w, w)
+
+    def offsets(i):  # u*w + log a_u for each nonzero digit a_u of i
+        out = []
+        for o in starts:
+            if c := i & mask:
+                out.append(o + log[c])
+            i >>= s
+        return out
+
+    def product(i, j):
+        acc = 0
+        ys = offsets(j)
+        for a in offsets(i):
+            for b in ys:
+                acc ^= table[a + b]
+        return acc
+    return product
 
 
 _prime_fields = {}

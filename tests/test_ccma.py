@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from curvemul import ccma, gf
 from curvemul.gf import FieldTower, prime_field, canonical_extension, find_irreducible
-from curvemul.function_field import curve_search, BudgetExceededError
+from curvemul.function_field import curve_search, BudgetExceededError, ProjectiveLine
 
 
 def schoolbook_formula(q, n):
@@ -175,7 +175,9 @@ def _with_extra_term(f, form_index):
 # in characteristic 2 (F_(2^9), and F_(2^20) whose index spans three bytes,
 # the extra terms reading the last), five-digit chunks over F_3 and over F_9
 # (the extra term's coordinate straddles two chunks), and one wide digit per
-# chunk for the prime q = 251.
+# chunk for the prime q = 251.  In characteristic 2 the right-hand side is
+# the kernel on index digits of 1 bit (F_2), 2 (F_(4^9)), 4 (F_16) and 8
+# (F_(256^3)).
 @pytest.mark.parametrize("make", [
     lambda: _with_extra_term(schoolbook_formula(2, 9), 8),
     lambda: _with_extra_term(schoolbook_formula(3, 6), 2),
@@ -186,8 +188,11 @@ def _with_extra_term(f, form_index):
     lambda: _with_extra_term(ccma.construct_case1(16, 5), 4),
     lambda: ccma.construct_case1(251, 2),
     lambda: _with_extra_term(ccma.construct_case1(251, 2), 1),
+    lambda: _with_extra_term(schoolbook_formula(4, 9), 8),
+    lambda: _with_extra_term(schoolbook_formula(256, 3), 2),
 ], ids=["schoolbook-2-9", "schoolbook-3-6", "off-diagonal-16-3", "case1-16-3",
-        "extra-9-3", "schoolbook-2-20", "extra-16-5", "case1-251-2", "extra-251-2"])
+        "extra-9-3", "schoolbook-2-20", "extra-16-5", "case1-251-2", "extra-251-2",
+        "extra-4-9", "extra-256-3"])
 def test_sampled_report_matches_apply_reference(make):
     f = make()
     assert f.tower.ext_field.size > ccma.EXHAUSTIVE_LIMIT
@@ -485,6 +490,37 @@ def test_construct_16_4_leaves_f65536_tables_unbuilt():
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == ["65536", "7", "True"]
+
+
+def test_replay_pulls_each_item_once_and_replays_in_order():
+    pulled = []
+
+    def source():
+        for k in range(4):
+            pulled.append(k)
+            yield k
+    r = ccma.Replay(source())
+    a, b = iter(r), iter(r)
+    assert (next(a), next(a), next(b)) == (0, 1, 0) and pulled == [0, 1]
+    assert list(r) == [0, 1, 2, 3] and pulled == [0, 1, 2, 3]
+    assert (list(a), list(b)) == ([2, 3], [1, 2, 3])
+
+
+def test_construct_16_4_searches_no_spare_q_places(monkeypatch):
+    # the place of the tower's modulus serves as Q, so no other degree-4 place
+    # is pulled from iter_places, and the formula is the pinned one
+    pulled = []
+    iter_places = ProjectiveLine.iter_places
+
+    def counting(self, d):
+        for pl in iter_places(self, d):
+            pulled.append(d)
+            yield pl
+    monkeypatch.setattr(ProjectiveLine, "iter_places", counting)
+    f = ccma.construct_case1(16, 4)
+    assert pulled and 4 not in pulled
+    golden = os.path.join(os.path.dirname(__file__), "golden", "formula_16_4_g0_case1.json")
+    assert f == ccma.load_formula(golden)
 
 
 def test_compose_raises_on_corrupted_inner():

@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+from curvemul import cli
 from curvemul.cli import main
+from curvemul.function_field import best_stat_curves
 
 
 def run(capsys, *argv):
@@ -140,6 +142,21 @@ def test_construct_with_explicit_curve(capsys):
 def test_construct_conflicting_curve_selectors_exit3(capsys, selectors):
     code, out = run(capsys, "construct", "--q", "4", "--n", "2", *selectors)
     assert code == 3 and "status=bad-input" in out
+
+
+def test_construct_searches_genus1_only_after_genus0_fails(capsys, monkeypatch):
+    calls = []
+
+    def counting(field):
+        calls.append(field.size)
+        return best_stat_curves(field)
+    monkeypatch.setattr(cli, "best_stat_curves", counting)
+    code, out = run(capsys, "construct", "--q", "64", "--n", "3")
+    assert (code, calls) == (0, [])
+    assert run(capsys, "construct", "--q", "64", "--n", "3", "--genus", "0") == (code, out)
+    # case 1 and case 3 both try the genus-1 curves; they are searched once
+    code, out = run(capsys, "construct", "--q", "2", "--n", "5", "--allow-degree2")
+    assert code == 2 and calls == [2] and out.count("genus1") == 4
 
 
 def test_construct_catalog_index(capsys):

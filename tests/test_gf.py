@@ -127,6 +127,9 @@ def test_tables_deferred_until_size_ops(q, n):
     E = gf.ExtensionField(canonical.base, canonical.modulus)
     val, idx = E.value_of, E.index_of
     rng = random.Random(q)
+    direct = E.direct_mul()  # reads and counts none of E's own tables
+    assert all(direct(i, i + 1) == idx(E.vmul(val(i), val(i + 1))) for i in range(E.size - 1))
+    assert E._log is None and E._untabled == 0
     ops = [(E.mul, E.vmul), (lambda i, j: E.inv(i), lambda a, b: E.vinv(a))]
     if E.char != 2:  # characteristic 2 adds and negates without tables
         ops += [(E.add, E.vadd), (lambda i, j: E.neg(i), lambda a, b: E.vneg(a))]
@@ -223,12 +226,13 @@ def test_interning():
 
 
 def _check_index_ops(E, pairs):
-    """E's index ops against the value ops on the given index pairs, and its
-    unary ops on every element."""
-    val, idx = E.value_of, E.index_of
+    """E's index ops and direct_mul (in characteristic 2 the kernel on
+    indices) against the value ops on the given index pairs, and its unary
+    ops on every element."""
+    val, idx, direct = E.value_of, E.index_of, E.direct_mul()
     for i, j in pairs:
         a, b = val(i), val(j)
-        assert E.mul(i, j) == idx(E.vmul(a, b)), (E, i, j)
+        assert E.mul(i, j) == direct(i, j) == idx(E.vmul(a, b)), (E, i, j)
         assert E.add(i, j) == idx(E.vadd(a, b)), (E, i, j)
         assert E.sub(i, j) == idx(E.vsub(a, b)), (E, i, j)
     for i in range(E.size):
@@ -238,7 +242,8 @@ def _check_index_ops(E, pairs):
 
 
 @pytest.mark.parametrize("q,n", [(2, 2), (3, 2), (2, 4), (5, 2), (7, 2), (3, 5), (2, 8),
-                                 (16, 2), (9, 2)])
+                                 (16, 2), (9, 2), (2, 3), (2, 5), (2, 6), (2, 7), (4, 2),
+                                 (4, 3), (4, 4), (8, 2)])
 def test_table_ops_match_value_ops_on_every_pair(q, n):
     E = FieldTower.canonical(q, n).ext_field
     _check_index_ops(E, ((i, j) for i in range(E.size) for j in range(E.size)))
@@ -246,10 +251,13 @@ def test_table_ops_match_value_ops_on_every_pair(q, n):
 
 
 def test_table_ops_match_value_ops_f512_every_element():
-    E = FieldTower.canonical(2, 9).ext_field
-    rng = random.Random(5)
-    _check_index_ops(E, [(i, rng.randrange(E.size)) for i in range(E.size) for _ in range(8)])
-    assert E._log is not None
+    # every element against 8 seeded partners in each characteristic-2 field
+    # of 2^9 and 2^10 elements, over F_2, F_4, F_8 and F_32
+    for q, n in [(2, 9), (8, 3), (2, 10), (4, 5), (32, 2)]:
+        E = FieldTower.canonical(q, n).ext_field
+        rng = random.Random(5)
+        _check_index_ops(E, [(i, rng.randrange(E.size)) for i in range(E.size) for _ in range(8)])
+        assert E._log is not None
 
 
 @pytest.mark.parametrize("q,n", [(3, 6), (16, 3)])
@@ -261,9 +269,19 @@ def test_table_ops_match_value_ops_sampled(q, n):
 
 
 def test_no_tables_above_limit():
-    E = FieldTower.canonical(2, 17).ext_field
-    assert E.size > gf.TABLE_LIMIT
-    x, y = 12345, 67890
-    assert E.mul(x, y) == E.index_of(E.vmul(E.value_of(x), E.value_of(y)))
-    assert E.mul(E.inv(x), x) == E.one_index
-    assert E._log is None
+    # E.mul is direct_mul here: the kernel on index digits of 1, 2, 4 and 8
+    # bits in characteristic 2, vmul on values for F_(3^11)
+    for q, n in [(2, 17), (16, 5), (2, 20), (4, 9), (256, 3), (3, 11)]:
+        E = FieldTower.canonical(q, n).ext_field
+        assert E.size > gf.TABLE_LIMIT
+        x, y = 12345, 67890
+        assert E.mul(x, y) == E.index_of(E.vmul(E.value_of(x), E.value_of(y)))
+        assert E.mul(E.inv(x), x) == E.one_index
+        rng = random.Random(q * n)
+        pairs = [(rng.randrange(E.size), rng.randrange(E.size)) for _ in range(500)]
+        pairs += [(0, y), (y, 0), (E.size - 1, E.size - 1)]
+        direct = E.direct_mul()
+        for i, j in pairs:
+            want = E.index_of(E.vmul(E.value_of(i), E.value_of(j)))
+            assert E.mul(i, j) == direct(i, j) == want, (E, i, j)
+        assert E._log is None
