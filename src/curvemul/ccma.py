@@ -704,8 +704,9 @@ def compose(outer, inner, verify_mode="tensor", pairs=DEFAULT_SAMPLES, seed=0):
     F_((q^n)^m)/F_(q^n); the rank multiplies.
 
     The composed formula lives on the flattened canonical tower; the stacked
-    field is identified with it through explicit roots of the defining
-    polynomials.  The result is checked as in construct_case1.
+    field is identified with it through the smallest roots of the defining
+    polynomials, which gf.roots finds without scanning the composed field.
+    The result is checked as in construct_case1.
     """
     E = outer.tower.ext_field
     if inner.tower.base_field is not E:
@@ -717,8 +718,6 @@ def compose(outer, inner, verify_mode="tensor", pairs=DEFAULT_SAMPLES, seed=0):
     Fp = prime_field(p)
     composed_tower = FieldTower.canonical(p, n * m)
     C = composed_tower.ext_field
-    if C.size > gf.SCAN_LIMIT:
-        raise BudgetExceededError("composed field too large for root search")
 
     # Everything in C is an element index; F_p elements keep theirs in C.
     def powers(x, k):
@@ -727,10 +726,7 @@ def compose(outer, inner, verify_mode="tensor", pairs=DEFAULT_SAMPLES, seed=0):
             out.append(C.mul(out[-1], x))
         return out
 
-    def root(coeffs):
-        return next(x for x in range(C.size) if not gf._peval(C, coeffs, x))
-
-    rho_pows = powers(root(outer.tower.ext_poly.coeffs), n)
+    rho_pows = powers(gf.roots(C, outer.tower.ext_poly.coeffs)[0], n)
 
     def iota(v):
         """The element of C that the value v of E (coefficients over F_p in
@@ -741,8 +737,8 @@ def compose(outer, inner, verify_mode="tensor", pairs=DEFAULT_SAMPLES, seed=0):
                 acc = C.add(acc, C.mul(coeff, rp))
         return acc
 
-    # inner ext polynomial mapped through iota, then a root u of it in C
-    u_pows = powers(root([iota(E.value_of(c)) for c in inner.tower.ext_poly.coeffs]), m)
+    # inner ext polynomial mapped through iota, then its smallest root u in C
+    u_pows = powers(gf.roots(C, [iota(E.value_of(c)) for c in inner.tower.ext_poly.coeffs])[0], m)
 
     # basis u^a rho^b of C over F_p, stacked coordinates k = a*n + b
     M = []

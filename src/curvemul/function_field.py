@@ -356,20 +356,17 @@ class ProjectiveLine:
 
     def _root_of(self, place):
         """The fixed residue identification, as an index of the canonical
-        F_(q^d): the smallest root of the place polynomial; the canonical
-        modulus itself maps to the generator t, whose index is q."""
+        F_(q^d): the smallest root of the place polynomial, by gf.roots.  The
+        canonical modulus itself maps to the generator t, whose index is q:
+        every smaller index lies in F_q, where it has no root."""
         rho = self._roots.get(place.data)
         if rho is not None:
             return rho
         R = place.residue_field
-        if place.degree == 1:
-            rho = self.field.neg(place.data[0])
-        elif place.data == R.modulus:
+        if place.degree > 1 and place.data == R.modulus:
             rho = self.field.size
         else:
-            if R.size > SCAN_LIMIT:
-                raise BudgetExceededError("root scan too large")
-            rho = next(x for x in range(R.size) if not _peval(R, place.data, x))
+            rho = gf.roots(R, place.data)[0]
         self._roots[place.data] = rho
         return rho
 

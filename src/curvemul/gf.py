@@ -145,15 +145,17 @@ def _pdivmod(F, a, b):
         raise ZeroDivisionError("polynomial division by zero")
     r = list(a)
     db, dlead = len(b) - 1, b[-1]
-    inv_lead = F.inv(dlead)
+    monic = dlead == F.one_index  # spares an inverse, a full vinv without tables
+    inv_lead = None if monic else F.inv(dlead)
     q = [0] * max(0, len(r) - db)
     sub, mul = F.sub, F.mul
     while len(r) - 1 >= db and r:
         k = len(r) - 1 - db
-        c = mul(r[-1], inv_lead)
+        c = r[-1] if monic else mul(r[-1], inv_lead)
         q[k] = c
-        for i in range(db + 1):
+        for i in range(db):
             r[k + i] = sub(r[k + i], mul(c, b[i]))
+        r.pop()  # r[-1] - c * dlead is 0
         _ptrim(r)
     return _ptrim(q), r
 
@@ -166,7 +168,7 @@ def _pgcd(F, a, b):
     a, b = list(a), list(b)
     while b:
         a, b = b, _pmod(F, a, b)
-    if a:
+    if a and a[-1] != F.one_index:
         a = _pscale(F, a, F.inv(a[-1]))
     return a
 
@@ -185,13 +187,17 @@ def _pinvmod(F, a, m):
 
 
 def _ppowmod(F, a, e, m):
-    result = [F.one_index]
+    """a^e mod m for e >= 1, by squaring; no product with 1, no spare square."""
     base = _pmod(F, a, m)
-    while e:
-        if e & 1:
-            result = _pmod(F, _pmul(F, result, base), m)
+    while not e & 1:
         base = _pmod(F, _pmul(F, base, base), m)
         e >>= 1
+    result = base
+    while e > 1:
+        e >>= 1
+        base = _pmod(F, _pmul(F, base, base), m)
+        if e & 1:
+            result = _pmod(F, _pmul(F, result, base), m)
     return result
 
 
@@ -202,6 +208,65 @@ def _peval(F, a, x):
     for c in reversed(a):
         acc = add(mul(acc, x), c)
     return acc
+
+
+def roots(F, f):
+    """Sorted element indices of the roots in F of the monic polynomial f,
+    whose roots must be distinct and all lie in F; ValueError otherwise.
+
+    Deterministic trace splitting (Berlekamp 1970; Cantor and Zassenhaus
+    1981).  For |F| = p^N and X_k = x^(p^k) mod f, T_a = sum_k a^(p^k) X_k is
+    Tr_{F/F_p}(a x) mod f, so gcd(g, T_a - c) collects the roots r of a
+    factor g of f with Tr(a r) = c in F_p; T_a may be reduced mod g because
+    g divides f.  The a = p^j (element indices) form an F_p-basis of F and
+    the trace form is nondegenerate, so trying them in turn separates every
+    two roots.  They are tried from j = N - 1 down: on the moduli of
+    F_(p^n) inside F_(p^(nm)) that needs about half as many traces as going
+    up.  X_k repeats with the period e of x under Frobenius mod f (e = n for
+    an irreducible f of degree n over F_p), so only X_0 .. X_(e-1) are
+    built, and a's conjugates only for the a that are tried.
+    """
+    p, N, f = F.char, F.degree, list(f)
+    xs, traces = [], []
+
+    def trace(j):
+        if not xs:  # X_0 .. X_(e-1); e = N if x never comes back
+            X = x = _pmod(F, [0, F.one_index], f)
+            while len(xs) < N and (not xs or X != x):
+                xs.append(X)
+                X = _ppowmod(F, X, p, f)
+        while len(traces) <= j:
+            a, b = p ** (N - 1 - len(traces)), [0] * len(xs)
+            for k in range(N):
+                b[k % len(xs)] = F.add(b[k % len(xs)], a)
+                a = F.pow_(a, p)
+            T = []
+            for bk, X in zip(b, xs):
+                T = _padd(F, T, _pscale(F, X, bk))
+            traces.append(T)
+        return traces[j]
+
+    out, todo = [], [(f, 0)]
+    while todo:
+        g, j = todo.pop()
+        if len(g) == 2:
+            out.append(F.neg(g[0]))
+            continue
+        if j == N:  # g never split: the check below raises
+            break
+        T, parts = _pmod(F, trace(j), g), []
+        if len(T) > 1:  # else every root of g has the same trace
+            for c in range(p - 1):  # the roots left in g have trace p - 1
+                h = _pgcd(F, g, _psub(F, T, [c]))
+                if len(h) > 1:
+                    parts.append(h)
+                    g = _pdivmod(F, g, h)[0]
+                    if len(g) == 1:
+                        break
+        todo.extend((h, j + 1) for h in parts + [g] if len(h) > 1)
+    if len(set(out)) < len(f) - 1:
+        raise ValueError("polynomial has repeated roots or roots outside %r" % (F,))
+    return sorted(out)
 
 
 def _raw_from_int(F, k, length):
@@ -298,12 +363,17 @@ class _FieldBase:
         if e < 0:
             i = self.inv(i)
             e = -e
-        r = self.one_index
-        while e:
-            if e & 1:
-                r = self.mul(r, i)
+        if not e:
+            return self.one_index
+        while not e & 1:
             i = self.mul(i, i)
             e >>= 1
+        r = i
+        while e > 1:
+            e >>= 1
+            i = self.mul(i, i)
+            if e & 1:
+                r = self.mul(r, i)
         return r
 
 

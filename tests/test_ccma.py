@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -335,6 +336,22 @@ def test_compose_chains_three_levels():
     assert step2.rank == 27 and step2.tower.q == 2 and step2.tower.n == 8
     rep = ccma.verify(step2, "exhaustive")
     assert rep.passed and rep.pairs_checked == 65536
+
+
+def test_compose_above_2_20():
+    # compose finds its roots by trace splitting, not by scanning C, so it
+    # reaches F_(2^20) and F_(2^24); the scan of F_(2^20) it replaced took
+    # about 24 s on 2 vCPUs with Python 3.11
+    step1 = ccma.compose(ccma.construct_case1(2, 2), ccma.construct_case1(4, 2))
+    inner5 = ccma.construct_case1(16, 5)
+    start = time.perf_counter()
+    f20 = ccma.compose(step1, inner5)
+    assert time.perf_counter() - start < 1.0
+    assert f20.rank == 81 and f20.tower.ext_field.size == 2 ** 20
+    f24 = ccma.compose(step1, ccma.construct_case1(16, 6))
+    assert f24.rank == 99 and f24.tower.ext_field.size == 2 ** 24
+    rep = ccma.verify(f24, "tensor")
+    assert rep.passed and rep.mode == "tensor" and rep.pairs_checked == 24 * 25 // 2
 
 
 @pytest.mark.parametrize("mode", ["exhaustive", "tensor"])

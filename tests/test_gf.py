@@ -285,3 +285,61 @@ def test_no_tables_above_limit():
             want = E.index_of(E.vmul(E.value_of(i), E.value_of(j)))
             assert E.mul(i, j) == direct(i, j) == want, (E, i, j)
         assert E._log is None
+
+
+def _roots_by_scan(F, f):
+    return [x for x in range(F.size) if not gf._peval(F, f, x)]
+
+
+# (p, n, m): F_(p^n)'s modulus over F_p, and F_(p^(nm))'s modulus over F_(p^n)
+# mapped into F_(p^(nm)) as compose maps it.  The first four are the
+# benchmark's towers: 9 = (2,2)o(4,2), 27 = 9o(16,2), 45 = 9o(16,3) and
+# 21 = (3,2)o(9,4).
+ROOT_CASES = [(2, 2, 2), (2, 4, 2), (2, 4, 3), (3, 2, 4),
+              (2, 2, 3), (2, 3, 2), (2, 2, 4), (2, 2, 5), (2, 5, 2), (2, 2, 6),
+              (2, 6, 2), (2, 3, 4), (2, 3, 3), (3, 2, 2), (3, 2, 3), (3, 3, 2),
+              (3, 4, 2), (5, 2, 2), (5, 2, 3), (5, 3, 2), (7, 2, 2), (11, 2, 2),
+              (13, 2, 2)]
+
+
+@pytest.mark.parametrize("p,n,m", ROOT_CASES)
+def test_roots_match_scan_on_composition_moduli(p, n, m):
+    E = FieldTower.canonical(p, n).ext_field
+    C = FieldTower.canonical(p, n * m).ext_field
+    outer = list(E.modulus)
+    scan = _roots_by_scan(C, outer)
+    assert len(scan) == n and gf.roots(C, outer) == scan
+    # compose's iota: E's value v (F_p coefficients in t) goes to v(rho)
+    rho = scan[0]
+    inner = [gf._peval(C, E.value_of(c), rho) for c in find_irreducible(E, m).coeffs]
+    scan = _roots_by_scan(C, inner)
+    assert len(scan) == m and gf.roots(C, inner) == scan
+
+
+@pytest.mark.parametrize("F", [F2, F3, F4, prime_field(5), F9], ids=repr)
+@pytest.mark.parametrize("d", [2, 3])
+def test_roots_match_scan_on_place_polynomials(F, d):
+    # every monic irreducible of degree d, i.e. every genus-0 place of
+    # degree d, in its residue field
+    R = canonical_extension(F, d)
+    count = 0
+    for k in range(F.size ** d):
+        f = gf._raw_from_int(F, k, d) + [F.one_index]
+        if gf.is_irreducible_raw(F, f):
+            scan = _roots_by_scan(R, f)
+            assert len(scan) == d and gf.roots(R, f) == scan, (F, f)
+            count += 1
+    assert count == gf.necklace_count(F.size, d)
+
+
+def test_roots_small_degrees_and_rejects():
+    assert gf.roots(F16, [5, 1]) == [5]
+    assert gf.roots(F16, [1]) == []
+    prod = gf._pmul(F16, gf._pmul(F16, [3, 1], [7, 1]), [12, 1])
+    assert gf.roots(F16, prod) == [3, 7, 12]
+    with pytest.raises(ValueError):
+        gf.roots(F16, gf._pmul(F16, [3, 1], [3, 1]))  # repeated root
+    with pytest.raises(ValueError):
+        gf.roots(F4, list(find_irreducible(F4, 2).coeffs))  # no root in F4
+    with pytest.raises(ValueError):
+        gf.roots(F4, gf._pmul(F4, [2, 1], list(find_irreducible(F4, 3).coeffs)))

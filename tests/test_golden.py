@@ -51,6 +51,8 @@ def golden_outputs():
         "formula_2_3_g0_case3.json": ccma.construct_case3(2, 3),
         "formula_compose_2_2_4_2.json": ccma.compose(ccma.construct_case1(2, 2),
                                                      ccma.construct_case1(4, 2)),
+        "formula_compose_3_2_9_4.json": ccma.compose(ccma.construct_case1(3, 2),
+                                                     ccma.construct_case1(9, 4)),
     }
     out = {name: _formula_file(f) for name, f in formulas.items()}
     out["compare_table.txt"] = _cli("compare-table")
