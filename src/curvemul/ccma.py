@@ -13,6 +13,7 @@ expanded through the canonical rank-3 formula for F_(q^2)/F_q (rank at most
 small brute-force oracle computes exact symmetric ranks for tiny tensors.
 """
 
+import functools
 import itertools
 import json
 import operator
@@ -519,13 +520,15 @@ def _construct(q, n, curve, case, verify_mode, pairs, seed):
 
     best_rank_seen = None
     for D in itertools.islice(_candidate_divisors(curve, target), 32):
+        # L(kD), built when an attempt first needs it and shared by every Q
+        space = functools.cache(lambda k, D=D: curve.riemann_roch(k * D))
         for Q in q_candidates:
             if D.get(Q):
                 continue
             if g == 1 and case == 1:
                 if curve.divisor_class_is_principal(D - place_divisor(Q)):
                     continue  # l(D-Q) must vanish
-            formula, achieved = _attempt(tower, curve, case, D, Q, dim2, ell_D,
+            formula, achieved = _attempt(tower, curve, case, D, Q, space, dim2, ell_D,
                                          eval_degrees, quad)
             if achieved is not None and (best_rank_seen is None or achieved < best_rank_seen):
                 best_rank_seen = achieved
@@ -579,14 +582,15 @@ def _q_place_candidates(tower, curve, n, count=8):
     return out
 
 
-def _attempt(tower, curve, case, D, Q, dim2, ell_D, eval_degrees, quad):
-    """One (D, Q) attempt; returns (formula, achieved_rank_or_None)."""
+def _attempt(tower, curve, case, D, Q, space, dim2, ell_D, eval_degrees, quad):
+    """One (D, Q) attempt; returns (formula, achieved_rank_or_None).
+    space(k) is L(kD)."""
     Fq = tower.base_field
     E = tower.ext_field
     n = tower.n
     if Q.residue_field is not E:
         raise gf.LevelMismatchError("residue field of Q is not the tower extension")
-    LD = curve.riemann_roch(D)
+    LD = space(1)
     if LD.dimension != ell_D:
         return None, None
     A = _place_rows(LD.functions, Q)  # n x ell_D: coordinates in the power basis of E
@@ -596,7 +600,7 @@ def _attempt(tower, curve, case, D, Q, dim2, ell_D, eval_degrees, quad):
     if sigma is None:
         return None, None
 
-    L2D = curve.riemann_roch(2 * D)
+    L2D = space(2)
     if L2D.dimension != dim2:
         return None, None
     try:

@@ -140,10 +140,11 @@ class Place:
 
     def __eq__(self, other):
         return (isinstance(other, Place) and other.curve is self.curve
-                and other.kind == self.kind and other.data == self.data)
+                and other.degree == self.degree and other.kind == self.kind
+                and other.data == self.data)
 
     def __hash__(self):
-        return hash((id(self.curve), self.kind, self.data))
+        return hash((id(self.curve), self.degree, self.kind, self.data))
 
     def __repr__(self):
         return "Place(%s deg %d %r)" % (self.kind, self.degree, self.data)
@@ -671,7 +672,20 @@ class EllipticCurve:
     # --- local expansions ---
 
     def expand_branch(self, place, prec):
-        """Series (x(t), y(t)) at the representative point, t a uniformizer."""
+        """Series (x(t), y(t)) at the representative point, t a uniformizer.
+
+        The longest expansion made so far at each place is kept on the curve:
+        a shorter request gets truncated copies of it, since the branch's
+        coefficients do not depend on the precision, and a longer one
+        replaces it.  The memo is made on first use: catalogue sweeps keep
+        thousands of curves that never expand a branch."""
+        branches = vars(self).setdefault("_branches", {})
+        hit = branches.get(place)
+        if hit is None or hit[0].prec < prec:
+            hit = branches[place] = self._expand_branch(place, prec)
+        return hit[0].truncate(prec), hit[1].truncate(prec)
+
+    def _expand_branch(self, place, prec):
         R = place.residue_field
         a1, a2, a3, a4, a6 = self.a
         x0, y0 = place.data
@@ -752,16 +766,12 @@ class EllipticCurve:
             for (i, eps) in monomials:
                 s = xpows[i] * ys if eps else xpows[i]
                 mono_series.append(s)
-            d_R = p.degree
             for ell in range(e):
-                for c in range(d_R):
-                    row = []
-                    for s in mono_series:
-                        if d_R == 1:
-                            row.append(s.coeffs[ell])
-                        else:
-                            row.append(R.value_of(s.coeffs[ell])[c])
-                    rows.append(row)
+                if p.degree == 1:
+                    rows.append([s.coeffs[ell] for s in mono_series])
+                else:
+                    vals = [R.value_of(s.coeffs[ell]) for s in mono_series]
+                    rows.extend([v[c] for v in vals] for c in range(p.degree))
         if rows:
             kern = linalg.kernel_basis(F, rows)
         else:

@@ -425,6 +425,8 @@ class PrimeField(_FieldBase):
     def vsub(self, a, b):
         return (a - b) % self.p
 
+    sub = vsub
+
     def vpow(self, a, e):
         return self.pow_(a, e)
 

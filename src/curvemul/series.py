@@ -1,9 +1,10 @@
 """Truncated power series over a finite field.
 
 Used for local expansions at places of a curve: solving the curve equation
-for a branch through a point (Newton iteration) and reading off valuations
-and leading coefficients.  Coefficients are element indices of the field;
-a Series of precision P represents c0 + c1 t + ... + c_(P-1) t^(P-1) + O(t^P).
+for a branch through a point (Newton iteration, doubling the precision at
+each step) and reading off valuations and leading coefficients.
+Coefficients are element indices of the field; a Series of precision P
+represents c0 + c1 t + ... + c_(P-1) t^(P-1) + O(t^P).
 """
 
 from .gf import PostconditionError
@@ -100,25 +101,27 @@ def newton_root(field, g_coeffs, y0, prec):
 
     y0 is the constant-term seed: G(y0) must vanish at t=0 and G'(y0) must be
     a unit.  Returns the unique series root with that constant term, to the
-    requested precision.  Quadratic Newton convergence makes log2(prec)+1
-    passes enough.
+    requested precision.  Each Newton step doubles the number of correct
+    coefficients, so the root is lifted from precision 1 to 2, 4, ... up to
+    prec, each step on the equation truncated to its own precision (Brent
+    and Kung, 1978).
     """
-    g = [c.truncate(prec) for c in g_coeffs]
-    dg = [g[i].scale(field.index_of(field._scalar_value(i))) for i in range(1, len(g))]
-    y = Series.constant(field, y0, prec)
-
-    def ev(coeffs, s):
-        acc = Series.constant(field, 0, prec)
-        for c in reversed(coeffs):
-            acc = acc * s + c
-        return acc
-
-    steps = max(1, prec.bit_length() + 1)
-    for _ in range(steps):
-        gy = ev(g, y)
-        dgy = ev(dg, y)
-        y = y - gy * dgy.inverse()
-    if ev(g, y).valuation() is not None:
+    y = Series.constant(field, y0, 1)
+    k = 1
+    while k < prec:
+        k = min(2 * k, prec)
+        g = [c.truncate(k) for c in g_coeffs]
+        dg = [g[i].scale(field.index_of(field._scalar_value(i))) for i in range(1, len(g))]
+        y = y.truncate(k)
+        y = y - _horner(g, y) * _horner(dg, y).inverse()
+    if _horner([c.truncate(prec) for c in g_coeffs], y).valuation() is not None:
         raise PostconditionError("Newton iteration failed to converge")
     return y
 
+
+def _horner(coeffs, s):
+    """sum coeffs[i] * s^i for series coefficients, at s's precision."""
+    acc = Series.constant(s.field, 0, s.prec)
+    for c in reversed(coeffs):
+        acc = acc * s + c
+    return acc

@@ -10,6 +10,7 @@ import math
 
 from curvemul import linalg
 from curvemul.function_field import Divisor, PoleEvaluationError
+from curvemul.series import Series, poly_on_series
 
 
 # Matrix helpers only the tests need; the library itself solves and reduces.
@@ -190,3 +191,43 @@ def check_eval_ring_hom(curve, rng, trials=30):
         assert lhs == rhs, (pl,)
         done += 1
     return done
+
+
+def newton_root_reference(field, g_coeffs, y0, prec):
+    """Root of G(Y) = sum g_coeffs[i] * Y^i with constant term y0, by
+    log2(prec) + 1 Newton passes all at the full precision: the reference
+    for the library's precision-doubling iteration."""
+    g = [c.truncate(prec) for c in g_coeffs]
+    dg = [g[i].scale(field.index_of(field._scalar_value(i))) for i in range(1, len(g))]
+    y = Series.constant(field, y0, prec)
+
+    def ev(coeffs, s):
+        acc = Series.constant(field, 0, prec)
+        for c in reversed(coeffs):
+            acc = acc * s + c
+        return acc
+
+    for _ in range(max(1, prec.bit_length() + 1)):
+        y = y - ev(g, y) * ev(dg, y).inverse()
+    assert ev(g, y).valuation() is None
+    return y
+
+
+def branch_reference(curve, place, prec):
+    """(x(t), y(t)) at the place's representative (x0, y0) by
+    newton_root_reference: t = x - x0, or t = y - y0 where the tangent is
+    vertical (2y + a1 x + a3 = 0)."""
+    R = place.residue_field
+    a1, a2, a3, a4, a6 = curve.a
+    x0, y0 = place.data
+    one = Series.constant(R, R.one_index, prec)
+    if R.add(R.mul(2 % R.char, y0), R.add(R.mul(a1, x0), a3)):
+        xs = Series(R, [x0, R.one_index], prec)
+        h = poly_on_series(R, [a3, a1], xs)
+        rr = poly_on_series(R, [a6, a4, a2, R.one_index], xs)
+        return xs, newton_root_reference(R, [-rr, h, one], y0, prec)
+    ys = Series(R, [y0, R.one_index], prec)
+    c1 = Series.constant(R, a4, prec) - ys.scale(a1)
+    c0 = Series.constant(R, a6, prec) - ys * ys - ys.scale(a3)
+    c2 = Series.constant(R, a2, prec)
+    return newton_root_reference(R, [c0, c1, c2, one], x0, prec), ys

@@ -1,3 +1,4 @@
+import collections
 import functools
 import json
 import os
@@ -11,7 +12,8 @@ from hypothesis import given, settings, strategies as st
 
 from curvemul import ccma, gf
 from curvemul.gf import FieldTower, prime_field, canonical_extension, find_irreducible
-from curvemul.function_field import curve_search, BudgetExceededError, ProjectiveLine
+from curvemul.function_field import (curve_search, BudgetExceededError, EllipticCurve,
+                                     ProjectiveLine)
 
 
 def schoolbook_formula(q, n):
@@ -538,6 +540,30 @@ def test_construct_16_4_searches_no_spare_q_places(monkeypatch):
     assert pulled and 4 not in pulled
     golden = os.path.join(os.path.dirname(__file__), "golden", "formula_16_4_g0_case1.json")
     assert f == ccma.load_formula(golden)
+
+
+def test_construct_builds_each_space_once_per_divisor(monkeypatch):
+    # case 3 on y^2 + y = x^3 over F_2 at n = 3 tries several Q against a
+    # divisor, past the checks that let an attempt build L(2D)
+    F2 = prime_field(2)
+    plain = ccma.construct_case3(2, 3, EllipticCurve(F2, 0, 0, 1, 0, 0))
+    built, tried = [], []
+    riemann_roch, attempt = EllipticCurve.riemann_roch, ccma._attempt
+
+    def counting_rr(self, D):
+        built.append((self, D))
+        return riemann_roch(self, D)
+
+    def counting_attempt(tower, curve, case, D, *rest):
+        tried.append(D)
+        return attempt(tower, curve, case, D, *rest)
+    monkeypatch.setattr(EllipticCurve, "riemann_roch", counting_rr)
+    monkeypatch.setattr(ccma, "_attempt", counting_attempt)
+    f = ccma.construct_case3(2, 3, EllipticCurve(F2, 0, 0, 1, 0, 0))
+    assert f == plain
+    assert max(collections.Counter(tried).values()) > 1
+    assert any((curve, 2 * D) in built for curve, D in built)
+    assert len(built) == len(set(built))
 
 
 def test_compose_raises_on_corrupted_inner():

@@ -14,9 +14,11 @@ from curvemul.function_field import (ProjectiveLine, EllipticCurve, Divisor, Pla
                                      degree_n_place_exists, weil_counts,
                                      BudgetExceededError, PoleEvaluationError)
 
+from curvemul.series import poly_on_series
+
 from invariants import (check_place_partition, check_hasse, check_rr_random,
                         check_principality_agreement, check_eval_ring_hom,
-                        verify_rr_basis)
+                        verify_rr_basis, branch_reference)
 
 F2 = prime_field(2)
 F3 = prime_field(3)
@@ -183,6 +185,75 @@ def test_eval_at_degree2_place_genus1():
     # evaluation is the representative's coordinates in the residue field
     assert x_fn.eval_at(pl) == pl.data[0]
     assert y_fn.eval_at(pl) == pl.data[1]
+
+
+# --- local branches ---------------------------------------------------------
+
+# y^2 + y = x^3 over F_2 and F_4 (never a vertical tangent: 2y + a3 = 1), and
+# the first catalogue curve over F_3 and over F_5, whose 2-torsion places of
+# degree <= 3 have vertical tangents and take y - y0 as the uniformizer
+BRANCH_CURVES = {"E_SS": E_SS, "E_SS4": E_SS4,
+                 "F3": curve_search(F3, 0)[0].curve,
+                 "F5": curve_search(prime_field(5), 0)[0].curve}
+
+
+def _fresh_curve(name):
+    """A new curve object, so that no branch of it is memoised yet."""
+    E = BRANCH_CURVES[name]
+    return EllipticCurve(E.field, *E.a)
+
+
+def _affine_places(E):
+    return [pl for d in (1, 2, 3) for pl in E.places(d) if pl.kind == "affine"]
+
+
+def _vertical(E, pl):
+    R = pl.residue_field
+    a1, _, a3, _, _ = E.a
+    x0, y0 = pl.data
+    return R.add(R.mul(2 % R.char, y0), R.add(R.mul(a1, x0), a3)) == 0
+
+
+@pytest.mark.parametrize("name", sorted(BRANCH_CURVES))
+def test_branches_solve_the_curve_and_match_the_reference(name):
+    E = _fresh_curve(name)
+    a1, a2, a3, a4, a6 = E.a
+    vertical = 0
+    for pl in _affine_places(E):
+        R = pl.residue_field
+        vertical += _vertical(E, pl)
+        for prec in (8, 3, 13, 1, 13):  # longer, shorter and equal to the memo
+            xs, ys = E.expand_branch(pl, prec)
+            assert xs.prec == ys.prec == prec
+            lhs = ys * ys + (xs * ys).scale(a1) + ys.scale(a3)
+            rhs = poly_on_series(R, [a6, a4, a2, R.one_index], xs)
+            assert (lhs - rhs).valuation() is None, (pl, prec)
+            ref_x, ref_y = branch_reference(E, pl, prec)
+            assert (xs.coeffs, ys.coeffs) == (ref_x.coeffs, ref_y.coeffs), (pl, prec)
+    assert vertical == 0 if name.startswith("E_SS") else vertical > 0
+
+
+@pytest.mark.parametrize("name", sorted(BRANCH_CURVES))
+def test_branch_memo_order_does_not_matter(name):
+    up, down = _fresh_curve(name), _fresh_curve(name)
+    for p_up, p_down in zip(_affine_places(up), _affine_places(down)):
+        short_first = [up.expand_branch(p_up, 5), up.expand_branch(p_up, 30)]
+        long_first = [down.expand_branch(p_down, 30), down.expand_branch(p_down, 5)][::-1]
+        assert ([s.coeffs for b in short_first for s in b]
+                == [s.coeffs for b in long_first for s in b]), p_up
+
+
+def test_branch_results_are_copies():
+    E = _fresh_curve("F5")
+    pl = next(p for p in _affine_places(E) if p.degree == 2)
+    xs, ys = E.expand_branch(pl, 10)
+    want = (list(xs.coeffs), list(ys.coeffs))
+    xs.coeffs[:] = [0] * 10
+    ys.coeffs.append(1)
+    short, _ = E.expand_branch(pl, 4)
+    short.coeffs[0] = 1
+    xs, ys = E.expand_branch(pl, 10)
+    assert (xs.coeffs, ys.coeffs) == want
 
 
 def _horner(coeffs, F, x):
