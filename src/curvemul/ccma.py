@@ -373,35 +373,26 @@ def _candidate_divisors(curve, target):
     if target == 0:
         yield Divisor({})
     if target >= 2:
-        try:
-            for pl in _first_places(curve, target, 6):
-                D = Divisor({pl: 1})
-                if fresh(D):
-                    yield D
-        except BudgetExceededError:
-            pass
-    try:
-        if target >= 4 and target % 2 == 0:
-            deg2 = _first_places(curve, 2, target // 2)
-            if len(deg2) >= target // 2:
-                D = Divisor({pl: 1 for pl in deg2})
-                if fresh(D):
-                    yield D
-        if target >= 5 and target % 2 == 1:
-            deg2 = _first_places(curve, 2, (target - 3) // 2)
-            deg3 = _first_places(curve, 3, 1)
-            if deg3 and len(deg2) >= (target - 3) // 2:
-                D = Divisor({pl: 1 for pl in deg2}) + Divisor({deg3[0]: 1})
-                if fresh(D):
-                    yield D
-    except BudgetExceededError:
-        pass
+        for pl in _first_places(curve, target, 6):
+            D = Divisor({pl: 1})
+            if fresh(D):
+                yield D
+    if target >= 4 and target % 2 == 0:
+        deg2 = _first_places(curve, 2, target // 2)
+        if len(deg2) >= target // 2:
+            D = Divisor({pl: 1 for pl in deg2})
+            if fresh(D):
+                yield D
+    if target >= 5 and target % 2 == 1:
+        deg2 = _first_places(curve, 2, (target - 3) // 2)
+        deg3 = _first_places(curve, 3, 1)
+        if deg3 and len(deg2) >= (target - 3) // 2:
+            D = Divisor({pl: 1 for pl in deg2}) + Divisor({deg3[0]: 1})
+            if fresh(D):
+                yield D
     for da, db in ((target + 2, 2), (target + 3, 3)):
-        try:
-            A_list = _first_places(curve, da, 2)
-            B_list = _first_places(curve, db, 2)
-        except BudgetExceededError:
-            continue
+        A_list = _first_places(curve, da, 2)
+        B_list = _first_places(curve, db, 2)
         for A in A_list:
             for B in B_list:
                 if A != B:
@@ -573,10 +564,7 @@ def _q_place_candidates(tower, curve, n, count=8):
         canonical = curve.place_of_poly(tower.ext_poly)
         others = (p for p in curve.iter_places(n) if p != canonical)
         return Replay(itertools.chain([canonical], itertools.islice(others, count - 1)))
-    try:
-        out = _first_places(curve, n, count)
-    except BudgetExceededError:
-        raise ConstructionError("degree-%d place search exceeds the point budget" % n)
+    out = _first_places(curve, n, count)
     if not out:
         raise ConstructionError("the curve has no degree-%d place" % n)
     return out

@@ -1,10 +1,11 @@
 """Genus-0 and genus-1 function fields over F_q.
 
 Places, divisors, Riemann-Roch spaces, evaluation at places of arbitrary
-degree, exhaustive point counting (the oracle), point counts over every
-F_(q^k) from N1 through the zeta function, a principality test through the
-elliptic group law, and a searchable catalog of curves with (N1, N2) data:
-N1 counted, N2 from the zeta function.
+degree, point counts as character sums over the x-line, exhaustive point
+counting (the oracle), point counts over every F_(q^k) from N1 through the
+zeta function, a principality test through the elliptic group law, and a
+searchable catalog of curves with (N1, N2) data: N1 a character sum, N2 from
+the zeta function.
 
 Conventions fixed once so that every run reproduces the same objects:
 
@@ -47,40 +48,69 @@ class UnsupportedDivisorError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# quadratic fiber solver
+# quadratic fibers: the solver, and the character sums that count points
+#
+# In characteristic 2 the index bits of an element are its coordinates over
+# F_2 (addition is XOR), bit k standing for the element of index 2^k.  The
+# maps z -> z^2 + z and (a, c) -> Tr(a c) are F_2-linear, so both reduce to
+# bit operations once a few products per field are known.
 # ---------------------------------------------------------------------------
 
-_solver_tables = {}
+_as_bases = {}
+_trace_forms = {}
 
 
-def _square_table(F):
-    """char != 2: map index(z^2) -> smallest z index."""
-    tab = _solver_tables.get(("sq", id(F)))
-    if tab is None:
-        if F.size > POINT_BUDGET:
-            raise BudgetExceededError("field too large for fiber tables")
-        tab = {}
-        for z in range(F.size):
-            key = F.mul(z, z)
-            if key not in tab:
-                tab[key] = z
-        _solver_tables[("sq", id(F))] = tab
-    return tab
+def _as_basis(F):
+    """An XOR basis of the image of z -> z^2 + z on F of characteristic 2
+    (the trace-0 hyperplane): pairs (z^2 + z, z), reduced so that their top
+    image bits differ, in decreasing order of them."""
+    basis = _as_bases.get(F)
+    if basis is None:
+        basis = []
+        for k in range(1, F.degree):  # e_0 = 1 is in the kernel
+            z = 1 << k
+            img, pre = _as_reduce(basis, F.mul(z, z) ^ z, z)
+            if img:
+                basis.append((img, pre))
+                basis.sort(reverse=True)
+        _as_bases[F] = basis
+    return basis
 
 
-def _artin_schreier_table(F):
-    """char == 2: map index(z^2 + z) -> smallest z index."""
-    tab = _solver_tables.get(("as", id(F)))
-    if tab is None:
-        if F.size > POINT_BUDGET:
-            raise BudgetExceededError("field too large for fiber tables")
-        tab = {}
-        for z in range(F.size):
-            key = F.add(F.mul(z, z), z)
-            if key not in tab:
-                tab[key] = z
-        _solver_tables[("as", id(F))] = tab
-    return tab
+def _as_reduce(basis, img, pre):
+    for b_img, b_pre in basis:
+        if img ^ b_img < img:  # b_img's top bit is set in img
+            img, pre = img ^ b_img, pre ^ b_pre
+    return img, pre
+
+
+def _trace_form(F):
+    """[mask of e_j for j < m] on F of characteristic 2, F_(2^m): bit k of
+    the mask of c is Tr(c e_k), so Tr(a c) is the parity of a & mask, and
+    Tr(c) that of c & form[0] (e_0 is 1)."""
+    form = _trace_forms.get(F)
+    if form is None:
+        m, mul = F.degree, F.mul
+        tr0 = 0
+        for k in range(m):
+            z = c = 1 << k
+            for _ in range(m - 1):
+                z = mul(z, z)
+                c ^= z
+            tr0 |= c << k  # Tr(e_k) lies in F_2: index 0 or 1
+        form = _trace_forms[F] = [sum(((mul(1 << j, 1 << k) & tr0).bit_count() & 1) << k
+                                      for k in range(m)) for j in range(m)]
+    return form
+
+
+def _trace_mask(form, c):
+    """The mask M of c: Tr(a c) = parity(a & M) for every a."""
+    mask, j = 0, 0
+    while c:
+        if c & 1:
+            mask ^= form[j]
+        c, j = c >> 1, j + 1
+    return mask
 
 
 def solve_quadratic(F, a, b):
@@ -89,22 +119,50 @@ def solve_quadratic(F, a, b):
         if a == 0:
             # squaring is a bijection; the inverse is z -> z^(|F|/2)
             return [F.pow_(b, F.size // 2)]
-        tab = _artin_schreier_table(F)
-        c = F.mul(b, F.inv(F.mul(a, a)))
-        z = tab.get(c)
-        if z is None:
+        # y = a z: z^2 + z = b / a^2
+        c, z = _as_reduce(_as_basis(F), F.mul(b, F.inv(F.mul(a, a))), 0)
+        if c:
             return []
         return sorted((F.mul(a, z), F.add(F.mul(a, z), a)))
-    inv2 = F.inv(2 % F.char)
-    half_a = F.mul(a, inv2)
+    half_a = F.mul(a, F.inv(2 % F.char))
     disc = F.add(b, F.mul(half_a, half_a))
     if disc == 0:
         return [F.neg(half_a)]
-    tab = _square_table(F)
-    r = tab.get(disc)
+    r = gf.sqrt(F, disc)
     if r is None:
         return []
     return sorted((F.sub(r, half_a), F.sub(F.neg(r), half_a)))
+
+
+# EllipticCurve.point_count's memos, per field R the count runs over:
+_char_sums = {}   # odd p: {(b2, b4, b6): sum over x in R of chi(4x^3 + b2 x^2 + 2b4 x + b6)}
+_trace_rows = {}  # p = 2: {(a1, a3): [trace mask of x for each x in R with a1 x + a3 != 0]}
+
+
+def _char_sum(R, b2, b4, b6):
+    chi, p = gf.quadratic_character(R), R.char
+    g = [b6, R.mul(2 % p, b4), b2, 4 % p]
+    return sum(chi(_peval(R, g, x)) for x in range(R.size))
+
+
+def _trace_row(R, a1, a3):
+    """For each x with h = a1 x + a3 != 0 in turn, the mask M of x with
+    Tr(f(x)/h^2) = parity(v & M), v = a2 | a4 << s | a6 << 2s | 1 << 3s over
+    the s index bits of R: the masks of x^2/h^2, x/h^2 and 1/h^2, and the
+    bit Tr(x^3/h^2)."""
+    add, mul, inv, s = R.add, R.mul, R.inv, R.degree
+    form = _trace_form(R)
+    row = []
+    for x in range(R.size):
+        h = add(mul(a1, x), a3)
+        if h:
+            w = inv(mul(h, h))
+            c1 = mul(x, w)
+            c2 = mul(x, c1)
+            row.append(_trace_mask(form, c2) | _trace_mask(form, c1) << s
+                       | _trace_mask(form, w) << 2 * s
+                       | ((mul(x, c2) & form[0]).bit_count() & 1) << 3 * s)
+    return row
 
 
 # ---------------------------------------------------------------------------
@@ -533,15 +591,24 @@ class EllipticCurve:
     def coefficients(self):
         return self.a
 
-    def discriminant(self):
+    def b_invariants(self):
+        """(b2, b4, b6, b8): with h = a1 x + a3 and f the cubic, the curve is
+        (2y + h)^2 = 4f + h^2 = 4x^3 + b2 x^2 + 2 b4 x + b6 when 2 != 0."""
         F = self.field
         add, sub, mul, p = F.add, F.sub, F.mul, F.char
         a1, a2, a3, a4, a6 = self.a
-        b2 = add(mul(a1, a1), mul(4 % p, a2))
+        a11, a33 = mul(a1, a1), mul(a3, a3)
+        b2 = add(a11, mul(4 % p, a2))
         b4 = add(mul(2 % p, a4), mul(a1, a3))
-        b6 = add(mul(a3, a3), mul(4 % p, a6))
-        b8 = sub(add(add(mul(mul(a1, a1), a6), mul(4 % p, mul(a2, a6))), mul(a2, mul(a3, a3))),
+        b6 = add(a33, mul(4 % p, a6))
+        b8 = sub(add(add(mul(a11, a6), mul(4 % p, mul(a2, a6))), mul(a2, a33)),
                  add(mul(a1, mul(a3, a4)), mul(a4, a4)))
+        return b2, b4, b6, b8
+
+    def discriminant(self):
+        F = self.field
+        add, sub, mul, p = F.add, F.sub, F.mul, F.char
+        b2, b4, b6, b8 = self.b_invariants()
         # -b2^2 b8 - 8 b4^3 - 27 b6^2 + 9 b2 b4 b6
         return sub(mul(9 % p, mul(b2, mul(b4, b6))),
                    add(add(mul(mul(b2, b2), b8), mul(8 % p, mul(b4, mul(b4, b4)))),
@@ -562,7 +629,8 @@ class EllipticCurve:
         return solve_quadratic(R, aa, bb)
 
     def points(self, R):
-        """Affine points over R in (x, y) index order; O is not included."""
+        """Affine points over R in (x, y) index order; O is not included.
+        The enumerative oracle that point_count is tested against."""
         if R.size > POINT_BUDGET:
             raise BudgetExceededError("point budget exceeded")
         out = []
@@ -572,13 +640,32 @@ class EllipticCurve:
         return out
 
     def point_count(self, k=1):
+        """#E(F_(q^k)) as a character sum: the fiber over x has 1 + eps(x)
+        points.  In odd characteristic eps(x) = chi(4x^3 + b2 x^2 + 2b4 x +
+        b6), so the sum is memoised per (b2, b4, b6).  In characteristic 2,
+        eps(x) is 0 where h(x) = a1 x + a3 vanishes and (-1)^Tr(f(x)/h(x)^2)
+        elsewhere; the trace is linear in (a2, a4, a6), so each x keeps one
+        mask per (a1, a3) and a curve costs one AND per x.  `points` is the
+        enumerative oracle."""
         R = canonical_extension(self.field, k)
         if R.size > POINT_BUDGET:
             raise BudgetExceededError("point budget exceeded")
-        total = 1
-        for x in range(R.size):
-            total += len(self.fiber(R, x))
-        return total
+        if R.char == 2:
+            a1, a2, a3, a4, a6 = self.a
+            rows = _trace_rows.setdefault(R, {})
+            row = rows.get((a1, a3))
+            if row is None:
+                row = rows[(a1, a3)] = _trace_row(R, a1, a3)
+            s = R.degree
+            v = a2 | a4 << s | a6 << 2 * s | 1 << 3 * s
+            odd = sum((v & m).bit_count() & 1 for m in row)
+            return 1 + R.size + len(row) - 2 * odd
+        b2, b4, b6, _ = self.b_invariants()
+        sums = _char_sums.setdefault(R, {})
+        total = sums.get((b2, b4, b6))
+        if total is None:
+            total = sums[(b2, b4, b6)] = _char_sum(R, b2, b4, b6)
+        return 1 + R.size + total
 
     def neg_point(self, R, P):
         if P is None:
@@ -634,10 +721,11 @@ class EllipticCurve:
     def iter_places(self, d):
         """Places of degree d: the origin first (d=1), then orbits of affine
         points in scan order; the first point of an orbit met by the scan is
-        its lexicographic minimum, which is the stored representative."""
+        its lexicographic minimum, which is the stored representative.
+
+        Lazy: safe to pull a few places of any degree; `places` enforces the
+        budget for complete lists."""
         R = canonical_extension(self.field, d)
-        if R.size > POINT_BUDGET:
-            raise BudgetExceededError("point budget exceeded")
         if d == 1:
             yield self.origin_place
         seen = set()
@@ -651,6 +739,8 @@ class EllipticCurve:
                     yield Place(self, d, "affine", (x, y))
 
     def places(self, d):
+        if self.field.size ** d > POINT_BUDGET:
+            raise BudgetExceededError("point budget exceeded")
         return list(self.iter_places(d))
 
     def rational_places(self):

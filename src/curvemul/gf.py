@@ -356,9 +356,6 @@ class _FieldBase:
     def __len__(self):
         return self.size
 
-    def sub(self, i, j):
-        return self.add(i, self.neg(j))
-
     def pow_(self, i, e):
         if e < 0:
             i = self.inv(i)
@@ -625,6 +622,23 @@ class ExtensionField(_FieldBase):
         z = self._zech[log[j] - a]
         return self._exp[a + z] if z else 0
 
+    def sub(self, i, j):
+        if self.char == 2:
+            return i ^ j
+        if not j:
+            return i
+        if not i:
+            return self.neg(j)
+        log = self._log or self._ensure_tables()
+        if log is None:
+            return self.index_of(self.vsub(self.value_of(i), self.value_of(j)))
+        # -g^b = g^(b + h) with h = (size - 1)/2; the shift by +-h keeps the
+        # Zech index inside the range that add's lookup covers
+        a, h = log[i], (self.size - 1) // 2
+        d = log[j] - a
+        z = self._zech[d - h if d >= 0 else d + h]
+        return self._exp[a + z] if z else 0
+
     def neg(self, i):
         if self.char == 2 or not i:
             return i
@@ -708,6 +722,95 @@ def _char2_product(E, log):
                 acc ^= table[a + b]
         return acc
     return product
+
+
+# ---------------------------------------------------------------------------
+# squares in odd characteristic
+#
+# A table field's generator g is primitive, hence not a square, so z = g^k is
+# a square iff k is even, with root g^(k/2).  Above the table limit the
+# character of F = B[t]/(f) is B's character of the norm N(z) = Res(f, z),
+# since the norm maps F* onto B* and its kernel into the squares; square
+# roots there come from Tonelli-Shanks (Tonelli 1891; Shanks 1973).
+# ---------------------------------------------------------------------------
+
+_nonsquares = {}
+
+
+def quadratic_character(F):
+    """The quadratic character of F, of odd characteristic, as a function on
+    indices: 0 at 0, 1 on the other squares, -1 elsewhere.  A field of at
+    most TABLE_LIMIT elements builds its tables for it: the character is
+    meant for sums over the whole field."""
+    if F.char == 2:
+        raise ValueError("the quadratic character needs odd characteristic")
+    if isinstance(F, PrimeField):
+        p, h = F.p, F.p // 2
+        return lambda z: 0 if not z else (1 if pow(z, h, p) == 1 else -1)
+    tables = F.log_tables()
+    if tables:
+        log = tables[1]
+        return lambda z: 0 if not z else 1 - 2 * (log[z] & 1)
+    B, f, value_of, base_chi = F.base, list(F.modulus), F.value_of, quadratic_character(F.base)
+    return lambda z: 0 if not z else base_chi(_resultant(B, f, _ptrim(list(value_of(z)))))
+
+
+def _resultant(F, a, b):
+    """Res(a, b) = lc(a)^deg(b) * (product of b over the roots of a), for raw
+    polynomials over F with deg b < deg a, by Euclid's algorithm:
+    Res(a, b) = (-1)^(deg a deg b) lc(b)^(deg a - deg r) Res(b, r) with
+    r = a mod b, and Res(a, c) = c^deg(a) for a constant c."""
+    acc = F.one_index
+    while len(b) > 1:
+        r = _pmod(F, a, b)
+        if (len(a) - 1) * (len(b) - 1) & 1:
+            acc = F.neg(acc)
+        acc = F.mul(acc, F.pow_(b[-1], len(a) - len(r)))
+        a, b = b, r
+    return F.mul(acc, F.pow_(b[0], len(a) - 1)) if b else 0
+
+
+def sqrt(F, z):
+    """An index r with r^2 = z in F, of odd characteristic, or None when z
+    is not a square.  Which of the two roots is returned is fixed but not
+    otherwise specified; callers that need both take r and -r."""
+    if F.char == 2:
+        raise ValueError("sqrt needs odd characteristic")
+    if not z:
+        return 0
+    log = getattr(F, "_log", None)
+    if log is not None:
+        k = log[z]
+        return None if k & 1 else F._exp[k >> 1]
+    mul, one = F.mul, F.one_index
+    s, t = 0, F.size - 1
+    while not t & 1:
+        s, t = s + 1, t >> 1
+    r, u = F.pow_(z, (t + 1) // 2), F.pow_(z, t)  # r^2 = z u, u of order 2^i
+    c = None
+    while u != one:
+        i, w = 0, u
+        while w != one:
+            w, i = mul(w, w), i + 1
+        if i == s:  # u^(2^(s-1)) = z^((q-1)/2) = -1
+            return None
+        if c is None:
+            c = F.pow_(_nonsquare(F), t)  # of order exactly 2^s
+        b = c
+        for _ in range(s - i - 1):
+            b = mul(b, b)
+        s, c = i, mul(b, b)
+        r, u = mul(r, b), mul(u, c)
+    return r
+
+
+def _nonsquare(F):
+    """The smallest non-square index of F (odd characteristic)."""
+    z = _nonsquares.get(F)
+    if z is None:
+        h, one = F.size // 2, F.one_index
+        z = _nonsquares[F] = next(z for z in range(2, F.size) if F.pow_(z, h) != one)
+    return z
 
 
 _prime_fields = {}

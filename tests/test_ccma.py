@@ -356,6 +356,18 @@ def test_compose_above_2_20():
     assert rep.passed and rep.mode == "tensor" and rep.pairs_checked == 24 * 25 // 2
 
 
+
+def test_genus1_odd_q_above_2_20():
+    # fibers are solved by square roots, not read from a table of F_(9^7),
+    # so genus-1 place search reaches 9^7 > 2^20; N1 = 16 > 2n
+    F9 = canonical_extension(prime_field(3), 2)
+    entry = curve_search(F9, 16)[0]
+    assert entry.n1 == 16
+    f = ccma.construct_case1(9, 7, entry.curve)
+    assert f.rank == 14 and f.tower.ext_field.size == 9 ** 7 > 1 << 20
+    rep = ccma.verify(f, "tensor")
+    assert rep.passed and rep.mode == "tensor"
+
 @pytest.mark.parametrize("mode", ["exhaustive", "tensor"])
 def test_verify_detects_xstar_corruption(mode):
     f = ccma.construct_case1(3, 2)

@@ -59,13 +59,49 @@ def test_point_count_vs_weil_recursion():
             if q ** k > (1 << 16):
                 break
             assert E.point_count(k) == counts[k - 1], (E, k)
-    # every curve of the F2, F3 and F4 sweeps against the enumerative oracle,
-    # and the catalog's N2 with it
+    # every curve of the F2, F3 and F4 sweeps: the character sums over
+    # F_(q^k) against the zeta function, and the catalog's N2 with it
     for q, F in ((2, F2), (3, F3), (4, F4)):
         for e in curve_search(F, 0):
             counts = [e.curve.point_count(k) for k in (1, 2, 3)]
             assert weil_counts(q, counts[0], 3) == counts, e
             assert e.n1 == counts[0] and e.n2 == (counts[1] - counts[0]) // 2, e
+
+
+def _sweep_curves(F, step=1):
+    """Every step-th nonsingular curve of F's Weierstrass family."""
+    family = list(function_field._weierstrass_family(F))[::step]
+    return [E for E in (function_field._try_curve(F, c) for c in family) if E is not None]
+
+
+def test_point_count_matches_enumeration():
+    # the character sums against the enumerative oracle `points`: every
+    # curve of the full sweeps at k = 1, and at k = 2 for q <= 4
+    for p, d in ((2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3)):
+        F = canonical_extension(prime_field(p), d)
+        R2 = canonical_extension(F, 2)
+        for E in _sweep_curves(F):
+            assert E.point_count(1) == 1 + len(E.points(F)), E
+            if F.size <= 4:
+                assert E.point_count(2) == 1 + len(E.points(R2)), E
+        q = F.size
+        assert len(function_field._char_sums.get(F, ())) <= q ** 3
+        assert len(function_field._trace_rows.get(F, ())) <= q ** 2
+
+
+@pytest.mark.parametrize("p,d", [(3, 2), (2, 4), (5, 2), (3, 3), (2, 5), (7, 2), (2, 6)])
+def test_point_count_matches_enumeration_normal_forms(p, d):
+    # F_9, F_16, F_25, F_27, F_32, F_49 and F_64: a deterministic spread of
+    # about 40 curves of each normal-form family
+    F = canonical_extension(prime_field(p), d)
+    family = list(function_field._weierstrass_family(F))
+    curves = _sweep_curves(F, max(1, len(family) // 40))
+    assert len(curves) >= 30
+    for E in curves:
+        assert E.point_count(1) == 1 + len(E.points(F)), E
+    q = F.size
+    assert len(function_field._char_sums.get(F, ())) <= q ** 3
+    assert len(function_field._trace_rows.get(F, ())) <= q ** 2
 
 
 def test_place_partition_identity():
@@ -435,19 +471,18 @@ def test_degree_n_place_certificates():
 
 
 def test_quadratic_solver_all_chars():
-    rng = random.Random(1)
-    for F in (F2, F3, F4, prime_field(5), canonical_extension(F3, 2)):
-        for _ in range(50):
-            a = rng.randrange(F.size)
-            b = rng.randrange(F.size)
-            ys = solve_quadratic(F, a, b)
-            assert len(ys) == len(set(ys)) <= 2
-            for y in ys:
-                assert F.add(F.mul(y, y), F.mul(a, y)) == b
-            # completeness: no solutions outside the returned set
-            brute = [y for y in range(F.size)
-                     if F.add(F.mul(y, y), F.mul(a, y)) == b]
-            assert sorted(ys) == brute
+    # every right-hand side b, for every a (a spread of a over F_(16^2)),
+    # against the solutions found by trying every y
+    F16 = canonical_extension(F4, 2)
+    for F in (F2, F3, F4, prime_field(5), canonical_extension(F3, 2), F16,
+              canonical_extension(F16, 2), canonical_extension(prime_field(5), 2),
+              canonical_extension(prime_field(7), 2)):
+        for a in range(0, F.size, max(1, F.size // 16)):
+            brute = {}
+            for y in range(F.size):
+                brute.setdefault(F.add(F.mul(y, y), F.mul(a, y)), []).append(y)
+            for b in range(F.size):
+                assert solve_quadratic(F, a, b) == brute.get(b, []), (F, a, b)
 
 
 # --- local expansion machinery, exercised through principal divisors --------

@@ -120,11 +120,15 @@ def test_polynomial_call_on_extension_elements():
         f(canonical_extension(F2, 4).from_index(3))  # F_16 over F_2, not over F_4
 
 
+def _uninterned(q, n):
+    """A copy of the canonical F_(q^n) on which no index op has run yet."""
+    canonical = FieldTower.canonical(q, n).ext_field
+    return gf.ExtensionField(canonical.base, canonical.modulus)
+
+
 @pytest.mark.parametrize("q,n", [(3, 5), (2, 8)])
 def test_tables_deferred_until_size_ops(q, n):
-    # an uninterned copy of the canonical field, on which no index op has run
-    canonical = FieldTower.canonical(q, n).ext_field
-    E = gf.ExtensionField(canonical.base, canonical.modulus)
+    E = _uninterned(q, n)
     val, idx = E.value_of, E.index_of
     rng = random.Random(q)
     direct = E.direct_mul()  # reads and counts none of E's own tables
@@ -343,3 +347,71 @@ def test_roots_small_degrees_and_rejects():
         gf.roots(F4, list(find_irreducible(F4, 2).coeffs))  # no root in F4
     with pytest.raises(ValueError):
         gf.roots(F4, gf._pmul(F4, [2, 1], list(find_irreducible(F4, 3).coeffs)))
+
+
+@pytest.mark.parametrize("q,n", [(3, 2), (5, 2), (7, 2), (2, 4)])
+def test_sub_is_add_of_neg_on_every_pair(q, n):
+    # in odd characteristic the first `size` ops of the copy run on values,
+    # the rest on its tables; characteristic 2 subtracts by XOR
+    E = _uninterned(q, n)
+    for i in range(E.size):
+        for j in range(E.size):
+            assert E.sub(i, j) == E.add(i, E.neg(j)), (E, i, j)
+    assert (E._log is not None) == (E.char != 2)
+
+
+@pytest.mark.parametrize("q,n", [(3, 11), (7, 6), (2, 17)])
+def test_sub_is_add_of_neg_above_table_limit(q, n):
+    E = FieldTower.canonical(q, n).ext_field
+    assert E.size > gf.TABLE_LIMIT
+    rng = random.Random(q + n)
+    pairs = [(rng.randrange(E.size), rng.randrange(E.size)) for _ in range(300)]
+    for i, j in pairs + [(0, 5), (5, 0), (5, 5)]:
+        assert E.sub(i, j) == E.add(i, E.neg(j)), (E, i, j)
+    assert E._log is None
+
+
+def _squares_by_scan(F):
+    roots = {}
+    for r in range(F.size):
+        roots.setdefault(F.mul(r, r), []).append(r)
+    return roots
+
+
+@pytest.mark.parametrize("F", [F3, prime_field(13), prime_field(17), prime_field(257),
+                               F9, canonical_extension(prime_field(5), 2),
+                               canonical_extension(prime_field(7), 2)], ids=repr)
+def test_sqrt_and_character_match_scan(F):
+    # every element; p = 13, 17 and 257 put 2^2, 2^4 and 2^8 into p - 1,
+    # so Tonelli-Shanks runs more than one round
+    roots = _squares_by_scan(F)
+    chi = gf.quadratic_character(F)
+    for z in range(F.size):
+        r = gf.sqrt(F, z)
+        if z in roots:
+            assert r in roots[z], (F, z)
+            assert chi(z) == (1 if z else 0), (F, z)
+        else:
+            assert r is None and chi(z) == -1, (F, z)
+
+
+def test_sqrt_before_tables_and_above_limit():
+    # Tonelli-Shanks on a table field before it has its tables, and above
+    # TABLE_LIMIT, checked by squaring; non-squares are r^2 times the
+    # smallest non-square
+    rng = random.Random(11)
+    for F in (_uninterned(7, 2), FieldTower.canonical(3, 11).ext_field,
+              FieldTower.canonical(7, 6).ext_field, FieldTower.canonical(9, 7).ext_field):
+        chi = gf.quadratic_character(F)
+        c = gf._nonsquare(F)
+        assert chi(c) == -1 and all(chi(z) == 1 for z in range(1, c))
+        for _ in range(20):
+            r = rng.randrange(1, F.size)
+            s = gf.sqrt(F, F.mul(r, r))
+            assert s in (r, F.neg(r)), (F, r)
+            assert gf.sqrt(F, F.mul(F.mul(r, r), c)) is None, (F, r)
+            assert chi(F.mul(r, r)) == 1 and chi(F.mul(F.mul(r, r), c)) == -1, (F, r)
+    with pytest.raises(ValueError):
+        gf.sqrt(F4, 2)
+    with pytest.raises(ValueError):
+        gf.quadratic_character(F16)

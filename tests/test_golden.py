@@ -12,10 +12,11 @@ import contextlib
 import io
 import os
 import tempfile
+import time
 
 from curvemul import ccma, cli
 from curvemul.gf import canonical_extension, prime_field
-from curvemul.function_field import curve_search
+from curvemul.function_field import EllipticCurve, curve_search
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 BOUND_QS = (2, 3, 4, 5, 7, 8, 9, 16)
@@ -39,6 +40,15 @@ def _formula_file(formula):
             return fh.read()
 
 
+def _genus1_16_6():
+    """Genus-1 case 1 over F_16 at n = 6, on the N1 = 25 curve
+    y^2 + y = x^3 + 8: its degree-6 places live in F_(2^24), above the 2^20
+    point budget.  Recorded when the fiber solver became algebraic; the
+    place search refused it before."""
+    F16 = canonical_extension(prime_field(2), 4)
+    return ccma.construct_case1(16, 6, EllipticCurve(F16, 0, 0, 1, 0, 8))
+
+
 def golden_outputs():
     """{file name under tests/golden: text} for every pinned output."""
     F4 = canonical_extension(prime_field(2), 2)
@@ -48,6 +58,7 @@ def golden_outputs():
         "formula_4_3_g0_case1.json": ccma.construct_case1(4, 3),
         "formula_16_4_g0_case1.json": ccma.construct_case1(16, 4),
         "formula_4_4_n1_9_case1.json": ccma.construct_case1(4, 4, curve),
+        "formula_16_6_n1_25_case1.json": _genus1_16_6(),
         "formula_2_3_g0_case3.json": ccma.construct_case3(2, 3),
         "formula_compose_2_2_4_2.json": ccma.compose(ccma.construct_case1(2, 2),
                                                      ccma.construct_case1(4, 2)),
@@ -70,6 +81,17 @@ def test_golden_outputs_byte_identical():
     for name, text in outputs.items():
         with open(os.path.join(GOLDEN, name), newline="") as fh:
             assert text == fh.read(), name
+
+
+def test_genus1_formula_above_point_budget():
+    t0 = time.perf_counter()
+    formula = _genus1_16_6()
+    elapsed = time.perf_counter() - t0
+    assert elapsed < 3.0, "construct_case1(16, 6) on the N1 = 25 curve took %.2fs" % elapsed
+    assert formula.rank == 12 and formula.tower.ext_field.size == 2 ** 24
+    assert ccma.verify(formula, "tensor").passed
+    with open(os.path.join(GOLDEN, "formula_16_6_n1_25_case1.json"), newline="") as fh:
+        assert _formula_file(formula) == fh.read()
 
 
 if __name__ == "__main__":
