@@ -26,6 +26,7 @@ from .function_field import (ProjectiveLine, Divisor, place_divisor,
 
 EXHAUSTIVE_LIMIT = 1 << 8
 DEFAULT_SAMPLES = 10 ** 4
+BLOCK = 2048  # pairs per bit-sliced pass of the characteristic-2 scans
 
 
 class ConstructionError(RuntimeError):
@@ -151,11 +152,14 @@ def verify(formula, mode="auto", pairs=DEFAULT_SAMPLES, seed=0):
     pairs e_j*e_k with j <= k.  Mode 'exhaustive' sweeps all q^(2n) pairs and
     refuses when q^n > 256; mode 'sampled' checks `pairs` seeded random
     pairs; 'auto' picks whichever of these two is affordable.  The scans are
-    independent cross-checks of the proof: they read the linear forms by
-    table lookup over index digits (_form_reader) and compare against E.mul
-    (exhaustive) or E.direct_mul, which reads none of E's tables (sampled).
-    Failures are reported, not raised; a failure names a concrete pair
-    (x, y) by element indices, the first in the scan's order.
+    independent cross-checks of the proof.  In characteristic 2 both check
+    BLOCK pairs per pass on bit planes (_sliced_check), against
+    gf.sliced_product, which reads only the two moduli.  In odd
+    characteristic they read the linear forms by table lookup over index
+    digits (_form_reader) and compare against E.mul (exhaustive) or
+    E.direct_mul, which reads none of E's tables (sampled).  Failures are
+    reported, not raised; a failure names a concrete pair (x, y) by element
+    indices, the first in the scan's order.
     """
     mode = verify_mode(formula.tower.ext_field.size, mode, pairs)
     if mode == "tensor":
@@ -212,45 +216,42 @@ def _verify_tensor(formula):
     return VerificationReport(True, "tensor", len(products))
 
 
+def _unit_values(formula):
+    """[x_t*(e) for each term t] for each unit index e = p^j of F_(q^n):
+    the forms' values on the F_p-basis that the index digits count."""
+    Fq, p = formula.tower.base_field, formula.tower.p
+    s = Fq.degree
+    return [[Fq.mul(xs[j // s], p ** (j % s)) for xs, _ in formula.terms]
+            for j in range(formula.tower.ext_field.degree)]
+
+
 def _form_reader(formula):
     """read(i) = [x_t*(x) for each term t] as F_q indices, where i is the
-    index of x in F_(q^n), by one table lookup per chunk of i's digits.
+    index of x in F_(q^n) of odd characteristic, by one table lookup per
+    chunk of i's digits.
 
     x -> (x_1*(x), ..., x_r*(x)) is F_p-linear in the base-p digits of i.
-    A chunk is 8 bits in characteristic 2, else as many digits as keep its
-    table at <= 256 entries (one digit when p > 256).  Its table maps the
-    chunk to one int that holds every F_p digit of every form value in its
-    own bit field, built from the forms' values on the unit indices p^j.
-    Characteristic 2 combines the chunks by XOR; odd characteristic adds
-    plain ints, with fields wide enough that the sum cannot carry, and
-    reduces each digit mod p once when unpacking.
+    A chunk is as many digits as keep its table at <= 256 entries (one
+    digit when p > 256).  Its table maps the chunk to one int that holds
+    every F_p digit of every form value in its own bit field, built from the
+    forms' values on the unit indices p^j.  The chunks' ints are added as
+    plain ints, with fields wide enough that the sum cannot carry, and each
+    digit is reduced mod p once when unpacking.
     """
     Fq, p = formula.tower.base_field, formula.tower.p
-    s, digits = Fq.degree, formula.tower.ext_field.degree
+    s, units = Fq.degree, _unit_values(formula)
     k = 1
     while p ** (k + 1) <= 256:
         k += 1
-    width = 1 if p == 2 else (-(-digits // k) * k * (p - 1) ** 2).bit_length()
+    width = (-(-len(units) // k) * k * (p - 1) ** 2).bit_length()
     shifts = range(0, formula.rank * s * width, width)  # digit f % s of form f // s
-    combine = operator.xor if p == 2 else operator.add
     tables = []
-    for c in range(0, digits, k):
+    for c in range(0, len(units), k):
         table = [0]
-        for j in range(c, min(c + k, digits)):  # the forms on the unit index p^j
-            vals = [Fq.mul(xs[j // s], p ** (j % s)) for xs, _ in formula.terms]
+        for vals in units[c:c + k]:
             u = sum(vals[f // s] // p ** (f % s) % p << sh for f, sh in enumerate(shifts))
-            table = [combine(a, d * u) for d in range(p) for a in table]
+            table = [a + d * u for d in range(p) for a in table]
         tables.append(table)
-    if p == 2:
-        starts, qmask = shifts[::s], Fq.size - 1
-
-        def read(i):
-            acc = 0
-            for table in tables:
-                acc ^= table[i & 255]
-                i >>= 8
-            return [acc >> sh & qmask for sh in starts]
-        return read
     base, mask, weights = p ** k, (1 << width) - 1, [p ** (f % s) for f in range(len(shifts))]
 
     def read(i):
@@ -265,24 +266,9 @@ def _form_reader(formula):
 
 def _term_sum(formula):
     """term_sum(a, b) = index of sum_t a_t*b_t*c_t, for form values a and b
-    as read by _form_reader, through one table of s*c_t per term.  Over a
-    characteristic-2 base with log tables the table is indexed by log s =
-    log a_t + log b_t (E.base_multiples of c_t), so no F_q product is made."""
+    as read by _form_reader, through one table of s*c_t per term."""
     E = formula.tower.ext_field
-    logs = E.char == 2 and E.base.log_tables()
-    if logs:
-        log = logs[1]
-        scaled = [E.base_multiples(c) for _, c in formula.terms]
-
-        def term_sum(a, b):
-            acc = 0
-            for x, y, sc in zip(a, b, scaled):
-                if x and y:
-                    acc ^= sc[log[x] + log[y]]
-            return acc
-        return term_sum
-    fmul = E.base.mul
-    add = operator.xor if E.char == 2 else E.add
+    fmul, add = E.base.mul, E.add
     scaled = [[E.index_of(tuple(fmul(s, cc) for cc in c)) for s in range(E.base.size)]
               for _, c in formula.terms]
 
@@ -296,14 +282,81 @@ def _term_sum(formula):
     return term_sum
 
 
+def _sliced_check(formula):
+    """differ(X, Y) -> an int whose bit k is set where formula(x, y) != x*y
+    for the pair in lane k, given the planes X of the x's and Y of the y's
+    of a block of pairs (characteristic 2; see gf.sliced_product).
+
+    Bit v of a form value a_t = x_t*(x) is the XOR of the planes of x that
+    the unit values select.  a_t*b_t is taken before reduction mod m, as
+    the coefficients of g^0 .. g^(2s-2), and bit j of sum_t a_t b_t c_t is
+    the XOR of the coefficients (t, k) whose g^k c_t has bit j.  The
+    right-hand side is gf.sliced_product over F_(q^n)."""
+    tower = formula.tower
+    Fq, E = tower.base_field, tower.ext_field
+    s, units = Fq.degree, _unit_values(formula)
+    w = 2 * s - 1
+    forms = [[j for j, vals in enumerate(units) if vals[t] >> v & 1]
+             for t in range(formula.rank) for v in range(s)]
+    triples = [(t * w + u + v, t * s + u, t * s + v)
+               for t in range(formula.rank) for u in range(s) for v in range(s)]
+    scaled = [E.index_of(tuple(Fq.mul(Fq.pow_(2, k), cc) for cc in c))
+              for _, c in formula.terms for k in range(w)]
+    picks = [[i for i, v in enumerate(scaled) if v >> j & 1] for j in range(E.degree)]
+    emul = gf.sliced_product(E)
+    xor_all = functools.partial(functools.reduce, operator.xor)
+
+    def differ(X, Y):
+        ax, ay = ([xor_all(map(P.__getitem__, sel), 0) for sel in forms] for P in (X, Y))
+        prods = [0] * len(scaled)
+        for i, a, b in triples:
+            prods[i] ^= ax[a] & ay[b]
+        diff = 0
+        for sel, z in zip(picks, emul(X, Y)):
+            diff |= xor_all(map(prods.__getitem__, sel), z)
+        return diff
+    return differ
+
+
+def _counting_planes(start, count, bits):
+    """Planes 0 .. bits-1 of the integers start .. start+count-1, lane k
+    holding start + k: the periodic planes of 0 .. count-1, plus the
+    constant start through a bit-sliced ripple-carry adder."""
+    full, out, carry = (1 << count) - 1, [], 0
+    for j in range(bits):
+        h, a = 1 << j, 0
+        if h < count:  # bit j of k < count: runs of h zeros and h ones
+            a, span = ((1 << h) - 1) << h, 2 * h
+            while span < count:
+                a |= a << span
+                span *= 2
+            a &= full
+        b = full if start >> j & 1 else 0
+        out.append(a ^ b ^ carry)
+        carry = a & b | carry & (a ^ b)
+    return out
+
+
 def _verify_exhaustive(formula):
-    """All q^(2n) pairs, row by row.  y -> formula(x, y) is F_p-linear in
-    the digits of y, so row x is spanned from its columns formula(x, p^j):
-    row[y] = row[y - p^j] + col_j.  The right-hand side is E.mul, compared
-    in row-major order."""
+    """All q^(2n) pairs in row-major order.  In characteristic 2, BLOCK
+    pairs per pass by _sliced_check: the pair number x*q^n + y holds the
+    bits of y below those of x, so a block's planes are those of its pair
+    numbers, counted up.  Otherwise row by row: y -> formula(x, y) is
+    F_p-linear in the digits of y, so row x is spanned from its columns
+    formula(x, p^j), row[y] = row[y - p^j] + col_j, and compared with
+    E.mul."""
     E, p = formula.tower.ext_field, formula.tower.p
-    emul, size = E.mul, E.size
-    add = operator.xor if p == 2 else E.add
+    size = E.size
+    if p == 2:
+        differ, bits = _sliced_check(formula), E.degree
+        for start in range(0, size * size, BLOCK):
+            planes = _counting_planes(start, min(BLOCK, size * size - start), 2 * bits)
+            if diff := differ(planes[bits:], planes[:bits]):
+                k = start + (diff & -diff).bit_length() - 1
+                return VerificationReport(False, "exhaustive", k + 1,
+                                          first_failure=divmod(k, size))
+        return VerificationReport(True, "exhaustive", size * size)
+    emul, add = E.mul, E.add
     read, term_sum = _form_reader(formula), _term_sum(formula)
     units = [read(p ** j) for j in range(E.degree)]
     for ix in range(size):
@@ -323,15 +376,33 @@ def _verify_exhaustive(formula):
 
 
 def _verify_sampled(formula, pairs, seed):
-    """`pairs` seeded random pairs, the forms read by _form_reader.  The
-    right-hand side is E.direct_mul, which reads none of E's own tables, so
-    they never check themselves: the characteristic-2 kernel on indices,
-    else vmul on the raw values."""
+    """`pairs` seeded random pairs, x = rng.randrange(q^n) and then y, pair
+    after pair.  In characteristic 2, BLOCK pairs per pass by _sliced_check:
+    a block's draws are packed into bytes, x above y in each lane, and cut
+    into planes by gf.bit_planes.  Otherwise the forms are read by
+    _form_reader and the right-hand side is E.direct_mul, vmul on the raw
+    values, which reads none of E's own tables."""
     E = formula.tower.ext_field
-    direct = E.direct_mul()
-    read, term_sum = _form_reader(formula), _term_sum(formula)
     rng = random.Random(seed)
     size = E.size
+    if E.char == 2:
+        differ, bits = _sliced_check(formula), E.degree
+        draw, shift = rng.randrange, 8 * -(-bits // 8)
+        width = shift // 4  # bytes per lane: x, then y in the low shift bits
+        planes_of = [*range(shift, shift + bits), *range(bits)]
+        for start in range(0, pairs, BLOCK):
+            lanes = bytearray()
+            for _ in range(min(BLOCK, pairs - start)):
+                lanes += (draw(size) << shift | draw(size)).to_bytes(width, "little")
+            planes = gf.bit_planes(lanes, width, planes_of)
+            if diff := differ(planes[:bits], planes[bits:]):
+                k = (diff & -diff).bit_length() - 1
+                pair = int.from_bytes(lanes[k * width:(k + 1) * width], "little")
+                return VerificationReport(False, "sampled", start + k + 1,
+                                          first_failure=divmod(pair, 1 << shift), seed=seed)
+        return VerificationReport(True, "sampled", pairs, seed=seed)
+    direct = E.direct_mul()
+    read, term_sum = _form_reader(formula), _term_sum(formula)
     for k in range(pairs):
         ix = rng.randrange(size)
         iy = rng.randrange(size)
@@ -344,17 +415,10 @@ def _verify_sampled(formula, pairs, seed):
 # construction
 # ---------------------------------------------------------------------------
 
-def _first_places(curve, degree, count, exclude=()):
-    out = []
-    for pl in itertools.islice(curve.iter_places(degree), 0, None):
-        if pl.kind in ("inf", "origin"):
-            continue
-        if pl in exclude:
-            continue
-        out.append(pl)
-        if len(out) >= count:
-            break
-    return out
+def _first_places(curve, degree, count):
+    """The first `count` places of the degree other than infinity and the origin."""
+    return list(itertools.islice((pl for pl in curve.iter_places(degree)
+                                  if pl.kind not in ("inf", "origin")), count))
 
 
 def _candidate_divisors(curve, target):
@@ -740,20 +804,11 @@ def compose(outer, inner, verify_mode="tensor", pairs=DEFAULT_SAMPLES, seed=0):
     Mcols = [list(col) for col in zip(*M)]  # columns indexed by (a, b)
     Minv = linalg.invert(Fp, Mcols)
 
-    mul_mats = {}
-
+    @functools.cache
     def mul_matrix(e_idx):
         """Multiplication-by-e matrix on F_(q^n) over F_p (n x n)."""
-        mat = mul_mats.get(e_idx)
-        if mat is None:
-            ev = E.value_of(e_idx)
-            cols = []
-            for b in range(n):
-                unit = tuple(E.base.one_index if i == b else 0 for i in range(n))
-                cols.append(E.vmul(ev, unit))
-            mat = [[cols[b][i] for b in range(n)] for i in range(n)]
-            mul_mats[e_idx] = mat
-        return mat
+        ev = E.value_of(e_idx)
+        return list(zip(*(E.vmul(ev, unit) for unit in _basis(outer.tower))))
 
     terms = []
     for ustar, d_val in inner.terms:
@@ -763,15 +818,7 @@ def compose(outer, inner, verify_mode="tensor", pairs=DEFAULT_SAMPLES, seed=0):
         blocks = [mul_matrix(ustar[a]) for a in range(m)]
         for vstar, c_val in outer.terms:
             c_C = C.mul(iota(c_val), d_C)
-            stacked = []
-            for a in range(m):
-                mat = blocks[a]
-                for b in range(n):
-                    acc = 0
-                    for i in range(n):
-                        if vstar[i] and mat[i][b]:
-                            acc = Fp.add(acc, Fp.mul(vstar[i], mat[i][b]))
-                    stacked.append(acc)
+            stacked = [v for mat in blocks for v in _row_times(Fp, vstar, mat)]
             xstar = _row_times(Fp, stacked, Minv)
             terms.append((xstar, C.value_of(c_C)))
 
@@ -812,7 +859,7 @@ def brute_force_symmetric_rank(q, n, max_rank):
         raise BudgetExceededError("brute-force search space exceeds budget")
     forms = []
     for idx in range(1, q ** n):
-        vec = tuple(_digits(idx, q, n))
+        vec = tuple(gf._raw_from_int(Fq, idx, n))
         lead = next(i for i, v in enumerate(vec) if v)
         if vec[lead] == Fq.one_index:
             forms.append(vec)
@@ -832,14 +879,6 @@ def brute_force_symmetric_rank(q, n, max_rank):
             if ok:
                 return r
     return None
-
-
-def _digits(k, q, n):
-    out = []
-    for _ in range(n):
-        k, r = divmod(k, q)
-        out.append(r)
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -564,6 +564,13 @@ def _descend(F, values):
     return tuple(values)
 
 
+def _scaled(F, k, x):
+    """k*x for an integer k prime to F's characteristic; no product when k
+    is 1 mod p."""
+    k %= F.char
+    return x if k == 1 else F.mul(k, x)
+
+
 class EllipticCurve:
     """y^2 + a1 xy + a3 y = x^3 + a2 x^2 + a4 x + a6 over F_q, nonsingular."""
 
@@ -593,26 +600,34 @@ class EllipticCurve:
 
     def b_invariants(self):
         """(b2, b4, b6, b8): with h = a1 x + a3 and f the cubic, the curve is
-        (2y + h)^2 = 4f + h^2 = 4x^3 + b2 x^2 + 2 b4 x + b6 when 2 != 0."""
+        (2y + h)^2 = 4f + h^2 = 4x^3 + b2 x^2 + 2 b4 x + b6 when 2 != 0.
+        The multiples of 2 and 4 vanish in characteristic 2 and are skipped."""
         F = self.field
-        add, sub, mul, p = F.add, F.sub, F.mul, F.char
+        add, sub, mul = F.add, F.sub, F.mul
         a1, a2, a3, a4, a6 = self.a
         a11, a33 = mul(a1, a1), mul(a3, a3)
-        b2 = add(a11, mul(4 % p, a2))
-        b4 = add(mul(2 % p, a4), mul(a1, a3))
-        b6 = add(a33, mul(4 % p, a6))
-        b8 = sub(add(add(mul(a11, a6), mul(4 % p, mul(a2, a6))), mul(a2, a33)),
-                 add(mul(a1, mul(a3, a4)), mul(a4, a4)))
+        b2, b4, b6 = a11, mul(a1, a3), a33
+        b8 = sub(add(mul(a11, a6), mul(a2, a33)), add(mul(a1, mul(a3, a4)), mul(a4, a4)))
+        if F.char != 2:
+            b2 = add(b2, _scaled(F, 4, a2))
+            b4 = add(b4, _scaled(F, 2, a4))
+            b6 = add(b6, _scaled(F, 4, a6))
+            b8 = add(b8, _scaled(F, 4, mul(a2, a6)))
         return b2, b4, b6, b8
 
     def discriminant(self):
+        """-b2^2 b8 - 8 b4^3 - 27 b6^2 + 9 b2 b4 b6, without the terms whose
+        constant vanishes: 8 in characteristic 2, 9 and 27 in characteristic 3."""
         F = self.field
-        add, sub, mul, p = F.add, F.sub, F.mul, F.char
+        sub, mul, p = F.sub, F.mul, F.char
         b2, b4, b6, b8 = self.b_invariants()
-        # -b2^2 b8 - 8 b4^3 - 27 b6^2 + 9 b2 b4 b6
-        return sub(mul(9 % p, mul(b2, mul(b4, b6))),
-                   add(add(mul(mul(b2, b2), b8), mul(8 % p, mul(b4, mul(b4, b4)))),
-                       mul(27 % p, mul(b6, b6))))
+        d = _scaled(F, 9, mul(b2, mul(b4, b6))) if p != 3 else 0
+        d = sub(d, mul(mul(b2, b2), b8))
+        if p != 2:
+            d = sub(d, _scaled(F, 8, mul(b4, mul(b4, b4))))
+        if p != 3:
+            d = sub(d, _scaled(F, 27, mul(b6, b6)))
+        return d
 
     @property
     def origin_place(self):

@@ -18,6 +18,9 @@ operations are pure.
 """
 
 from array import array
+from functools import reduce
+from itertools import zip_longest
+from operator import xor
 
 TABLE_LIMIT = 1 << 16  # exp/log (Zech) index tables up to this size: O(size) memory,
                        # built once the field has answered `size` index ops without them
@@ -100,24 +103,12 @@ def _ptrim(c):
 
 def _padd(F, a, b):
     add = F.add
-    n = max(len(a), len(b))
-    out = [0] * n
-    for i in range(n):
-        x = a[i] if i < len(a) else 0
-        y = b[i] if i < len(b) else 0
-        out[i] = add(x, y)
-    return _ptrim(out)
+    return _ptrim([add(x, y) for x, y in zip_longest(a, b, fillvalue=0)])
 
 
 def _psub(F, a, b):
     sub = F.sub
-    n = max(len(a), len(b))
-    out = [0] * n
-    for i in range(n):
-        x = a[i] if i < len(a) else 0
-        y = b[i] if i < len(b) else 0
-        out[i] = sub(x, y)
-    return _ptrim(out)
+    return _ptrim([sub(x, y) for x, y in zip_longest(a, b, fillvalue=0)])
 
 
 def _pmul(F, a, b):
@@ -673,12 +664,6 @@ class ExtensionField(_FieldBase):
             self._build_tables()
         return self._exp, self._log
 
-    def base_multiples(self, v):
-        """[index of g^l * v for l < 2(|B| - 1)]: the raw value v times each
-        entry of the base field B's exp table, over B's generator g."""
-        bmul = self.base.mul
-        return [self.index_of(tuple(bmul(e, c) for c in v)) for e in self.base.log_tables()[0]]
-
     def direct_mul(self):
         """The index product that reads none of this field's own tables: the
         characteristic-2 kernel (_char2_product) over a base with log
@@ -686,24 +671,27 @@ class ExtensionField(_FieldBase):
         if self._direct is None:
             logs = self.char == 2 and self.base.log_tables()
             if logs:
-                self._direct = _char2_product(self, logs[1])
+                self._direct = _char2_product(self, *logs)
             else:
                 value_of, index_of, vmul = self.value_of, self.index_of, self.vmul
                 self._direct = lambda i, j: index_of(vmul(value_of(i), value_of(j)))
         return self._direct
 
 
-def _char2_product(E, log):
-    """i*j on indices of E = B[t]/(f) in characteristic 2, where log is B's
-    log table over its generator g.  An index is d digits of s = log2 |B|
-    bits, and i*j is the XOR of g^(log a_u + log b_v) t^(u+v) over the
-    nonzero digit pairs: one lookup each in the (2d - 1) x 2(|B| - 1) table
-    of E.base_multiples of t^k, whose rows for k >= d are the reduction
-    rows.  The table holds 270 ints for F_(16^5), 78 for F_(2^20)."""
+def _char2_product(E, exp, log):
+    """i*j on indices of E = B[t]/(f) in characteristic 2, where exp and log
+    are B's tables over its generator g.  An index is d digits of
+    s = log2 |B| bits, and i*j is the XOR of g^(log a_u + log b_v) t^(u+v)
+    over the nonzero digit pairs: one lookup each in the (2d - 1) x
+    2(|B| - 1) table of the products g^l t^k, whose rows for k >= d are the
+    reduction rows.  The table holds 270 ints for F_(16^5), 78 for
+    F_(2^20)."""
     d, mask = E.deg, E.base.size - 1
     s, w = mask.bit_length(), 2 * mask
     units = [E.value_of(E.base.size ** k) for k in range(d)]  # t^k, k < d
-    table = [x for v in units + E._red_rows[:d - 1] for x in E.base_multiples(v)]
+    bmul = E.base.mul
+    table = [E.index_of(tuple(bmul(e, c) for c in v)) for v in units + E._red_rows[:d - 1]
+             for e in exp]
     starts = range(0, d * w, w)
 
     def offsets(i):  # u*w + log a_u for each nonzero digit a_u of i
@@ -721,6 +709,75 @@ def _char2_product(E, log):
             for b in ys:
                 acc ^= table[a + b]
         return acc
+    return product
+
+
+# ---------------------------------------------------------------------------
+# bit-sliced arithmetic in characteristic 2
+#
+# A block of L elements is held as bit planes: plane j is an int whose bit k
+# is bit j of the k-th element's index, so one big-integer AND or XOR acts on
+# all L lanes at once (Biham, "A fast new DES implementation in software",
+# FSE 1997).  Over F = B[t]/(f) with B = F_2[g]/(m), bit u*s + v of an index
+# is the coefficient of g^v t^u, s = log2 |B|.
+# ---------------------------------------------------------------------------
+
+def bit_planes(lanes, width, bits):
+    """[plane j for j in bits] of the lanes packed in `lanes`, a bytes-like
+    of `width` bytes per lane, each little-endian.  One base-2 rendering of
+    the whole block is cut into columns; base 2 is exempt from the limit on
+    int-string conversion digits.  A leading 1 above the last lane keeps the
+    rendering at full length without a padded copy."""
+    w = 8 * width
+    text = format(int.from_bytes(lanes, "little") | 1 << 8 * len(lanes), "b")
+    return [int(text[w - j::w], 2) for j in bits]
+
+
+def _f2_mulmod(a, b, m):
+    """a*b mod m in F_2[g] on ints whose bit v is the coefficient of g^v;
+    a must be reduced, b need not be."""
+    s, acc = m.bit_length() - 1, 0
+    while b:
+        if b & 1:
+            acc ^= a
+        b >>= 1
+        a <<= 1
+        if a >> s:
+            a ^= m
+    return acc
+
+
+def sliced_product(E):
+    """product(X, Y) = the planes of x*y for planes X, Y of E = B[t]/(f) in
+    characteristic 2, over B = F_2 or F_2[g]/(m); also for E = F_2[g]/(m)
+    itself.  A schoolbook product of planes gives the coefficients of the
+    monomials g^k t^u, k <= 2s - 2 and u <= 2d - 2; bit j of x*y is the XOR
+    of those whose reduced index has bit j.  The reductions are computed
+    here from f and m alone, so the product reads none of the fields'
+    tables."""
+    B = E.base
+    if E.char != 2 or not isinstance(B, PrimeField) and not isinstance(B.base, PrimeField):
+        raise ValueError("sliced_product needs F_2[g]/(m)[t]/(f)")
+    m = 3 if isinstance(B, PrimeField) else sum(c << v for v, c in enumerate(B.modulus))
+    d, s = E.deg, B.degree
+    w = 2 * s - 1
+    row, monos = [1] + [0] * (d - 1), []  # row: t^u mod f, coefficients in B
+    for _ in range(2 * d - 1):
+        monos += [sum(_f2_mulmod(c, 1 << k, m) << s * i for i, c in enumerate(row))
+                  for k in range(w)]
+        top, row = row[-1], [0] + row[:-1]
+        row = [c ^ _f2_mulmod(top, f, m) for c, f in zip(row, E.modulus)]
+    picks = [[i for i, v in enumerate(monos) if v >> j & 1] for j in range(d * s)]
+    offsets = [u * w + v for u in range(d) for v in range(s)]
+
+    def product(X, Y):
+        Z = [0] * len(monos)
+        ys = [(b, y) for b, y in zip(offsets, Y) if y]
+        for a, x in zip(offsets, X):
+            if x:
+                for b, y in ys:
+                    Z[a + b] ^= x & y
+        return [reduce(xor, map(Z.__getitem__, sel), 0) for sel in picks]
     return product
 
 
@@ -1156,38 +1213,6 @@ def find_irreducible(field, degree):
             _irreducible_cache[key] = poly
             return poly
     raise AssertionError("unreachable: irreducibles of every degree exist")
-
-
-def count_irreducibles(field, degree):
-    """Number of monic irreducibles of the given degree, by enumeration."""
-    total = 0
-    for k in range(field.size ** degree):
-        cand = _raw_from_int(field, k, degree) + [field.one_index]
-        if is_irreducible_raw(field, cand):
-            total += 1
-    return total
-
-
-def necklace_count(q, d):
-    """(1/d) * sum over e | d of mu(e) q^(d/e) -- the expected count above."""
-    def mu(n):
-        res, m = 1, n
-        p = 2
-        while p * p <= m:
-            if m % p == 0:
-                m //= p
-                if m % p == 0:
-                    return 0
-                res = -res
-            p += 1
-        if m > 1:
-            res = -res
-        return res
-
-    total = sum(mu(e) * q ** (d // e) for e in range(1, d + 1) if d % e == 0)
-    if total % d:
-        raise PostconditionError("necklace sum %d not divisible by %d" % (total, d))
-    return total // d
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ matrix rank rather than by the kernel construction that produced the basis.
 
 import math
 
-from curvemul import linalg
+from curvemul import gf, linalg
 from curvemul.function_field import Divisor, PoleEvaluationError
 from curvemul.series import Series, poly_on_series
 
@@ -45,6 +45,38 @@ def mat_mul(field, a, b):
 
 def rank(field, rows):
     return len(linalg.rref(field, rows)[1])
+
+
+def count_irreducibles(field, degree):
+    """Number of monic irreducibles of the given degree, by enumeration."""
+    total = 0
+    for k in range(field.size ** degree):
+        cand = gf._raw_from_int(field, k, degree) + [field.one_index]
+        if gf.is_irreducible_raw(field, cand):
+            total += 1
+    return total
+
+
+def necklace_count(q, d):
+    """(1/d) * sum over e | d of mu(e) q^(d/e) -- the expected count above."""
+    def mu(n):
+        res, m = 1, n
+        p = 2
+        while p * p <= m:
+            if m % p == 0:
+                m //= p
+                if m % p == 0:
+                    return 0
+                res = -res
+            p += 1
+        if m > 1:
+            res = -res
+        return res
+
+    total = sum(mu(e) * q ** (d // e) for e in range(1, d + 1) if d % e == 0)
+    if total % d:
+        raise gf.PostconditionError("necklace sum %d not divisible by %d" % (total, d))
+    return total // d
 
 
 def check_field_axioms(field, rng, triples=1000):

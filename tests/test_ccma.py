@@ -174,13 +174,13 @@ def _with_extra_term(f, form_index):
 
 # A wrong term makes an error ell(x) ell(y) c, nonzero on (1 - 1/q)^2 of the
 # pairs, so small q and several seeds put first failures beyond pair 1.  The
-# cases cover every chunk layout of the form reader: whole and partial bytes
-# in characteristic 2 (F_(2^9), and F_(2^20) whose index spans three bytes,
-# the extra terms reading the last), five-digit chunks over F_3 and over F_9
-# (the extra term's coordinate straddles two chunks), and one wide digit per
-# chunk for the prime q = 251.  In characteristic 2 the right-hand side is
-# the kernel on index digits of 1 bit (F_2), 2 (F_(4^9)), 4 (F_16) and 8
-# (F_(256^3)).
+# odd cases cover every chunk layout of the form reader: five-digit chunks
+# over F_3 and over F_9 (the extra term's coordinate straddles two chunks),
+# and one wide digit per chunk for the prime q = 251.  The characteristic-2
+# cases are checked on bit planes over F_q of 1 bit (F_2), 2 (F_(4^9)),
+# 4 (F_16) and 8 bits (F_(256^3), and F_(256^9), whose 72-bit indices fill
+# lanes wider than 64 bits).  Blocks of 1 and 3 pairs put the first failures
+# in later blocks.
 @pytest.mark.parametrize("make", [
     lambda: _with_extra_term(schoolbook_formula(2, 9), 8),
     lambda: _with_extra_term(schoolbook_formula(3, 6), 2),
@@ -193,17 +193,35 @@ def _with_extra_term(f, form_index):
     lambda: _with_extra_term(ccma.construct_case1(251, 2), 1),
     lambda: _with_extra_term(schoolbook_formula(4, 9), 8),
     lambda: _with_extra_term(schoolbook_formula(256, 3), 2),
+    lambda: schoolbook_formula(256, 9),
+    lambda: _with_extra_term(schoolbook_formula(256, 9), 8),
 ], ids=["schoolbook-2-9", "schoolbook-3-6", "off-diagonal-16-3", "case1-16-3",
         "extra-9-3", "schoolbook-2-20", "extra-16-5", "case1-251-2", "extra-251-2",
-        "extra-4-9", "extra-256-3"])
-def test_sampled_report_matches_apply_reference(make):
+        "extra-4-9", "extra-256-3", "schoolbook-256-9", "extra-256-9"])
+def test_sampled_report_matches_apply_reference(make, monkeypatch):
     f = make()
     assert f.tower.ext_field.size > ccma.EXHAUSTIVE_LIMIT
     for seed in range(8):
-        rep = ccma.verify(f, "sampled", pairs=60, seed=seed)
-        assert (rep.passed, rep.pairs_checked, rep.first_failure) == \
-            _sampled_reference(f, 60, seed)
-        assert rep.seed == seed
+        expected = _sampled_reference(f, 60, seed)
+        for block in (ccma.BLOCK, 1, 3):
+            monkeypatch.setattr(ccma, "BLOCK", block)
+            rep = ccma.verify(f, "sampled", pairs=60, seed=seed)
+            assert (rep.passed, rep.pairs_checked, rep.first_failure) == expected
+            assert rep.seed == seed
+        monkeypatch.undo()
+
+
+@pytest.mark.parametrize("make", [
+    lambda: ccma.construct_case1(16, 3),
+    lambda: corrupt_off_diagonal(ccma.construct_case1(16, 3)),
+    lambda: schoolbook_formula(2, 9),
+], ids=["case1-16-3", "off-diagonal-16-3", "schoolbook-2-9"])
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+def test_sampled_report_at_block_boundaries(make, offset):
+    # pair counts on either side of one full block
+    f, pairs = make(), ccma.BLOCK + offset
+    rep = ccma.verify(f, "sampled", pairs=pairs, seed=5)
+    assert (rep.passed, rep.pairs_checked, rep.first_failure) == _sampled_reference(f, pairs, 5)
 
 
 def test_sampled_rejects_nonpositive_pairs():
@@ -447,16 +465,38 @@ def _exhaustive_reference(formula):
 
 
 @pytest.mark.parametrize("name", [
-    "case1-2-2", "case3-2-3", "schoolbook-4-2", "case1-4-3",
+    "case1-2-2", "case3-2-3", "schoolbook-4-2", "case1-4-3", "case1-16-2",
     "case1-3-2", "case3-3-3", "compose-3-4", "case1-9-2"])
-def test_exhaustive_report_matches_apply_reference(name):
-    # the row-by-row sweep must report the first failing pair of the plain
-    # row-major loop, over F_2, F_4, F_3 and F_9 bases
+def test_exhaustive_report_matches_apply_reference(name, monkeypatch):
+    # the sweep must report the first failing pair of the plain row-major
+    # loop, over F_2, F_4, F_16, F_3 and F_9 bases; in characteristic 2 also
+    # with blocks of 1 and 3 pairs, on the failing copies and on clean sweeps
+    # of at most 4096 pairs (at (16, 2) the extra term first fails in row 16,
+    # beyond the first default block)
     f = SMALL_FORMULAS[name]()
-    n = f.tower.n
+    n, size = f.tower.n, f.tower.ext_field.size
     for g in (f, corrupt_constant(f), corrupt_off_diagonal(f), _with_extra_term(f, n - 1)):
-        rep = ccma.verify(g, "exhaustive")
-        assert (rep.passed, rep.pairs_checked, rep.first_failure) == _exhaustive_reference(g)
+        expected = _exhaustive_reference(g)
+        small = f.tower.p == 2 and (not expected[0] or size ** 2 <= 4096)
+        for block in (ccma.BLOCK, 1, 3) if small else (ccma.BLOCK,):
+            monkeypatch.setattr(ccma, "BLOCK", block)
+            rep = ccma.verify(g, "exhaustive")
+            assert (rep.passed, rep.pairs_checked, rep.first_failure) == expected
+        monkeypatch.undo()
+
+
+def test_char2_scans_make_no_field_products(monkeypatch):
+    # both scans compare against gf.sliced_product on bit planes, never
+    # against the field's own index product
+    cases = ((_elliptic_4_4(), "exhaustive"), (ccma.construct_case1(16, 5), "sampled"),
+             (ccma.construct_case3(2, 3), "exhaustive"), (schoolbook_formula(2, 9), "sampled"))
+    for f, mode in cases:
+        E = f.tower.ext_field
+        monkeypatch.setattr(E, "mul", None)
+        monkeypatch.setattr(E, "direct_mul", None)
+        rep = ccma.verify(f, mode, pairs=3000)
+        assert rep.passed and rep.mode == mode
+        monkeypatch.undo()
 
 
 def test_construct_raises_on_corrupted_formula(monkeypatch):

@@ -89,6 +89,34 @@ def test_point_count_matches_enumeration():
         assert len(function_field._trace_rows.get(F, ())) <= q ** 2
 
 
+def _invariants_reference(F, a):
+    """(b2, b4, b6, b8) and the discriminant by the full Weierstrass
+    expressions, every constant multiplied in."""
+    add, sub, mul, p = F.add, F.sub, F.mul, F.char
+    a1, a2, a3, a4, a6 = a
+    a11, a33 = mul(a1, a1), mul(a3, a3)
+    b2 = add(a11, mul(4 % p, a2))
+    b4 = add(mul(2 % p, a4), mul(a1, a3))
+    b6 = add(a33, mul(4 % p, a6))
+    b8 = sub(add(add(mul(a11, a6), mul(4 % p, mul(a2, a6))), mul(a2, a33)),
+             add(mul(a1, mul(a3, a4)), mul(a4, a4)))
+    disc = sub(mul(9 % p, mul(b2, mul(b4, b6))),
+               add(add(mul(mul(b2, b2), b8), mul(8 % p, mul(b4, mul(b4, b4)))),
+                   mul(27 % p, mul(b6, b6))))
+    return (b2, b4, b6, b8), disc
+
+
+def test_invariants_match_full_expressions():
+    # every tuple of the full sweeps, singular ones included: skipping the
+    # constants that vanish or are 1 mod p changes no value
+    for p, d in ((2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3)):
+        F = canonical_extension(prime_field(p), d)
+        for a in function_field._weierstrass_family(F):
+            E = object.__new__(EllipticCurve)
+            E.field, E.a = F, a
+            assert (E.b_invariants(), E.discriminant()) == _invariants_reference(F, a), (F, a)
+
+
 @pytest.mark.parametrize("p,d", [(3, 2), (2, 4), (5, 2), (3, 3), (2, 5), (7, 2), (2, 6)])
 def test_point_count_matches_enumeration_normal_forms(p, d):
     # F_9, F_16, F_25, F_27, F_32, F_49 and F_64: a deterministic spread of

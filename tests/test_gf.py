@@ -7,7 +7,7 @@ from curvemul.gf import (FieldTower, Polynomial, prime_field, extension,
                          canonical_extension, find_irreducible, embed, lift,
                          decode_element, LevelMismatchError, NotInSubfieldError)
 
-from invariants import check_field_axioms, check_fermat
+from invariants import check_field_axioms, check_fermat, count_irreducibles, necklace_count
 
 F2 = prime_field(2)
 F3 = prime_field(3)
@@ -165,7 +165,7 @@ def test_fermat_exhaustive():
 def test_irreducible_counts_necklace():
     for q, F, dmax in ((2, F2, 6), (3, F3, 6), (4, F4, 6), (8, F8, 4), (9, F9, 3), (16, F16, 3)):
         for d in range(1, dmax + 1):
-            assert gf.count_irreducibles(F, d) == gf.necklace_count(q, d), (q, d)
+            assert count_irreducibles(F, d) == necklace_count(q, d), (q, d)
 
 
 def test_find_irreducible_pinned_higher_degrees():
@@ -291,6 +291,51 @@ def test_no_tables_above_limit():
         assert E._log is None
 
 
+def _lanes_of(planes, count):
+    """The integers whose bit j is lane k of plane j, for k < count."""
+    return [sum((plane >> k & 1) << j for j, plane in enumerate(planes)) for k in range(count)]
+
+
+def test_bit_planes_transpose_lanes():
+    # lanes of 1, 3 and 9 bytes (72-bit values), little-endian whatever the
+    # host's byte order; planes may be asked for in any order
+    rng = random.Random(3)
+    for width, count in ((1, 1), (1, 7), (3, 100), (9, 33)):
+        values = [rng.getrandbits(8 * width) for _ in range(count)]
+        lanes = b"".join(v.to_bytes(width, "little") for v in values)
+        assert _lanes_of(gf.bit_planes(lanes, width, range(8 * width)), count) == values
+        top = gf.bit_planes(lanes, width, [8 * width - 1])[0]
+        assert top == sum((v >> (8 * width - 1)) << k for k, v in enumerate(values))
+    assert gf.bit_planes(b"\x01\x00\x80", 1, [0, 7]) == [1, 4]
+
+
+@pytest.mark.parametrize("q,n", [(2, 1), (2, 9), (4, 3), (16, 2), (16, 5), (8, 4), (256, 3),
+                                 (256, 9), (2, 20)])
+def test_sliced_product_matches_vmul(q, n):
+    # lane by lane against the value product, over F_2, F_4, F_8, F_16 and
+    # F_256 bases; F_q itself over F_2 as well
+    E = FieldTower.canonical(q, n).ext_field
+    rng = random.Random(q + n)
+    count = 200
+    xs = [rng.randrange(E.size) for _ in range(count)] + [0, E.size - 1]
+    ys = [rng.randrange(E.size) for _ in range(count)] + [E.size - 1, E.size - 1]
+    for F, a, b in ((E, xs, ys), (E.base, [x % q for x in xs], [y % q for y in ys])):
+        if isinstance(F, gf.PrimeField):
+            continue
+        bits = F.degree
+        plane = lambda vals, j: sum((v >> j & 1) << k for k, v in enumerate(vals))
+        X = [plane(a, j) for j in range(bits)]
+        Y = [plane(b, j) for j in range(bits)]
+        got = _lanes_of(gf.sliced_product(F)(X, Y), len(a))
+        assert got == [F.index_of(F.vmul(F.value_of(i), F.value_of(j))) for i, j in zip(a, b)], F
+
+
+def test_sliced_product_rejects_other_fields():
+    for F in (FieldTower.canonical(3, 2).ext_field, canonical_extension(F16, 2)):
+        with pytest.raises(ValueError):
+            gf.sliced_product(F)
+
+
 def _roots_by_scan(F, f):
     return [x for x in range(F.size) if not gf._peval(F, f, x)]
 
@@ -333,7 +378,7 @@ def test_roots_match_scan_on_place_polynomials(F, d):
             scan = _roots_by_scan(R, f)
             assert len(scan) == d and gf.roots(R, f) == scan, (F, f)
             count += 1
-    assert count == gf.necklace_count(F.size, d)
+    assert count == necklace_count(F.size, d)
 
 
 def test_roots_small_degrees_and_rejects():
