@@ -10,11 +10,11 @@ import math
 from fractions import Fraction
 
 from . import ccma
-from .gf import factor_prime_power, prime_field, canonical_extension
-from .function_field import best_stat_curves, BudgetExceededError, UnsupportedDivisorError
+from .gf import canonical_field, factor_prime_power
+from .function_field import (best_stat_curves, BudgetExceededError, CATALOG_Q_LIMIT,
+                             UnsupportedDivisorError)
 
 CONSTRUCT_SIZE_LIMIT = 512   # try explicit formulas only when q^n is this small
-CATALOG_Q_LIMIT = 64
 SUBFIELD_LIMIT = 1 << 16
 
 _METHOD_PRIORITY = (
@@ -209,8 +209,7 @@ def best_bound(q, n, depth=2, construct="auto"):
         candidates.append(BoundCertificate(q, n, value, "theorem2-case%d" % case,
                                            {"genus": 0, "n1": stats0["n1"], "n2": stats0["n2"]}))
     if q <= CATALOG_Q_LIMIT:
-        field = canonical_extension(prime_field(factor_prime_power(q)[0]), factor_prime_power(q)[1])
-        for entry in best_stat_curves(field):
+        for entry in best_stat_curves(canonical_field(q)):
             stats = {"g": 1, "n1": entry.n1, "n2": entry.n2,
                      "nonspecial_available": _nonspecial_available(entry)}
             for case, value in theorem2_bounds(q, n, stats, curve=entry.curve):
@@ -258,10 +257,9 @@ def _nonspecial_available(entry):
 
 def _attempt_constructions(q, n):
     attempts = []
-    field = canonical_extension(prime_field(factor_prime_power(q)[0]), factor_prime_power(q)[1])
     curves = [None]
     try:
-        curves += [e.curve for e in best_stat_curves(field)]
+        curves += [e.curve for e in best_stat_curves(canonical_field(q))]
     except BudgetExceededError:
         pass
     for builder in (ccma.construct_case1, ccma.construct_case3):
@@ -302,25 +300,24 @@ def asymptotic_bounds(q):
     return records
 
 
-def _default_mu(qq, nn):
+def _mu(qq, nn):
     return best_bound(qq, nn, depth=2, construct=False).value
 
 
-def cacr_bounds(q, t, mu_lookup=None):
+def cacr_bounds(q, t):
     """The generalized-evaluation decay bounds at parameter t: the two exact
     rational families with guard q^t > 5, their mu-free decays, and the
     log-corrected pair (floating point, >= 15 significant digits)."""
     factor_prime_power(q)
-    mu = mu_lookup or _default_mu
     records = []
     qt = q ** t
     if qt - 5 > 0:
         records.append(AsymptoticRecord(
-            q, "M_sym", Fraction(mu(q, 2 * t) * (qt - 1), t * (qt - 5)), "Eq5",
-            {"t": t, "mu": mu(q, 2 * t)}))
+            q, "M_sym", Fraction(_mu(q, 2 * t) * (qt - 1), t * (qt - 5)), "Eq5",
+            {"t": t, "mu": _mu(q, 2 * t)}))
         records.append(AsymptoticRecord(
-            q * q, "M_sym", Fraction(2 * mu(q * q, t) * (qt - 1), t * (qt - 5)), "Eq6",
-            {"t": t, "mu": mu(q * q, t), "base_q": q}))
+            q * q, "M_sym", Fraction(2 * _mu(q * q, t) * (qt - 1), t * (qt - 5)), "Eq6",
+            {"t": t, "mu": _mu(q * q, t), "base_q": q}))
         records.append(AsymptoticRecord(
             q, "M_sym", Fraction((4 * t - 1) * (qt - 1), t * (qt - 5)), "Eq7", {"t": t}))
         records.append(AsymptoticRecord(
@@ -337,8 +334,8 @@ def cacr_bounds(q, t, mu_lookup=None):
         guard = qt - 2 - 2 * logq2
         tag = "Thm6-odd"
     if guard > 0:
-        records.append(AsymptoticRecord(q, "M_sym", mu(q, 2 * t) * (qt - 1) / (t * guard),
-                                        tag, {"t": t, "mu": mu(q, 2 * t), "log_q_2": logq2}))
+        records.append(AsymptoticRecord(q, "M_sym", _mu(q, 2 * t) * (qt - 1) / (t * guard),
+                                        tag, {"t": t, "mu": _mu(q, 2 * t), "log_q_2": logq2}))
     else:
         records.append(AsymptoticRecord(q, "M_sym", None, tag + "-suppressed",
                                         {"t": t, "reason": "log guard fails"}))
@@ -370,14 +367,13 @@ def round2(value):
     return "%d.%02d" % divmod(k, 100)
 
 
-def _best_eq5(q, mu_lookup=None):
-    mu = mu_lookup or _default_mu
+def _best_eq5(q):
     best = None
     for t in (1, 2, 3, 4):
         qt = q ** t
         if qt - 5 <= 0:
             continue
-        m = mu(q, 2 * t)
+        m = _mu(q, 2 * t)
         v = Fraction(m * (qt - 1), t * (qt - 5))
         if best is None or v < best[0]:
             best = (v, t, m)
@@ -415,15 +411,13 @@ def comparison_table():
     return rows, crossover
 
 
-def render_comparison_table(rows=None, crossover=None):
-    if rows is None:
-        rows, crossover = comparison_table()
+def render_comparison_table():
+    rows, crossover = comparison_table()
     lines = ["q,cor_iv8,prop3,winner"]
     for r in rows:
         lines.append("%d,%s,%s,%s" % (r.q, round2(r.cor_iv8), round2(r.prop3), r.winner))
-    if crossover is not None:
-        lines.append("# crossover q=15: prop3=%s <= 3.50 < eq5-decay min=%s"
-                     % (round2(crossover["prop3_at_15"]), round2(crossover["eq5_decay_min_at_15"])))
-        lines.append("# crossover q=17: prop3=%s < eq5 min=%s"
-                     % (round2(crossover["prop3_at_17"]), round2(crossover["eq5_min_at_17"])))
+    lines.append("# crossover q=15: prop3=%s <= 3.50 < eq5-decay min=%s"
+                 % (round2(crossover["prop3_at_15"]), round2(crossover["eq5_decay_min_at_15"])))
+    lines.append("# crossover q=17: prop3=%s < eq5 min=%s"
+                 % (round2(crossover["prop3_at_17"]), round2(crossover["eq5_min_at_17"])))
     return "\n".join(lines)

@@ -571,13 +571,17 @@ def _construct(q, n, curve, case, verify_mode, pairs, seed):
 
     quad = quadratic_formula(q) if (case == 3) else None
 
-    q_candidates = _q_place_candidates(tower, curve, n)
+    if next(curve.iter_places(n), None) is None:
+        raise ConstructionError("the curve has no degree-%d place" % n)
 
     best_rank_seen = None
     for D in itertools.islice(_candidate_divisors(curve, target), 32):
         # L(kD), built when an attempt first needs it and shared by every Q
         space = functools.cache(lambda k, D=D: curve.riemann_roch(k * D))
-        for Q in q_candidates:
+        # the first 8 places of degree n, searched for only when an attempt
+        # reaches them (both curves memoise their place scans); on the line
+        # the first is the tower's modulus, which almost always serves
+        for Q in itertools.islice(curve.iter_places(n), 8):
             if D.get(Q):
                 continue
             if g == 1 and case == 1:
@@ -598,40 +602,6 @@ def _construct(q, n, curve, case, verify_mode, pairs, seed):
             return formula
     raise ConstructionError("no full-rank evaluation set found after exhausting candidates",
                             best_rank=best_rank_seen)
-
-
-class Replay:
-    """A re-iterable view of an iterator: each item is pulled from it once,
-    when an iteration first reaches it."""
-
-    def __init__(self, items):
-        self._items, self._seen = iter(items), []
-
-    def __iter__(self):
-        k = 0
-        while k < len(self._seen) or self._pull():
-            yield self._seen[k]
-            k += 1
-
-    def _pull(self):
-        for item in self._items:
-            self._seen.append(item)
-            return True
-        return False
-
-
-def _q_place_candidates(tower, curve, n, count=8):
-    """The places Q to try, in order.  On the line, the place of the tower's
-    modulus comes first and almost always serves, so the other degree-n
-    places are searched for only when an attempt reaches them."""
-    if curve.genus == 0:
-        canonical = curve.place_of_poly(tower.ext_poly)
-        others = (p for p in curve.iter_places(n) if p != canonical)
-        return Replay(itertools.chain([canonical], itertools.islice(others, count - 1)))
-    out = _first_places(curve, n, count)
-    if not out:
-        raise ConstructionError("the curve has no degree-%d place" % n)
-    return out
 
 
 def _attempt(tower, curve, case, D, Q, space, dim2, ell_D, eval_degrees, quad):

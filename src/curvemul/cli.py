@@ -30,11 +30,6 @@ def _emit(**kv):
     print(" ".join("%s=%s" % (k, v) for k, v in kv.items()))
 
 
-def _canonical_field(q):
-    p, s = gf.factor_prime_power(q)
-    return gf.canonical_extension(gf.prime_field(p), s)
-
-
 def _check_qn(q, n, for_construction):
     gf.factor_prime_power(q)
     if q > (1 << 16):
@@ -60,7 +55,7 @@ def _select_curves(args, field):
             raise ValueError("catalog index out of range")
         return [(1, entries[args.catalog_index].curve)]
     genera = [args.genus] if args.genus is not None else [0, 1]
-    return ccma.Replay(_genus_attempts(field, genera))
+    return gf.Replay(_genus_attempts(field, genera))
 
 
 def _genus_attempts(field, genera):
@@ -82,7 +77,7 @@ def _genus_attempts(field, genera):
 def cmd_construct(args):
     _check_qn(args.q, args.n, for_construction=True)
     ccma.verify_mode(args.q ** args.n, args.mode, args.pairs)
-    field = _canonical_field(args.q)
+    field = gf.canonical_field(args.q)
     attempts = _select_curves(args, field)
     cases = [(1, ccma.construct_case1)]
     if args.allow_degree2:
@@ -176,7 +171,7 @@ def cmd_compare_table(args):
 
 def cmd_curves(args):
     _check_qn(args.q, 1, for_construction=False)
-    field = _canonical_field(args.q)
+    field = gf.canonical_field(args.q)
     if args.genus == 0:
         q = field.size
         n1, n2 = q + 1, (q * q - q) // 2

@@ -32,7 +32,7 @@ from .gf import (FieldElement, Polynomial, canonical_extension, PostconditionErr
                  SCAN_LIMIT, _peval)
 from .series import Series, poly_on_series, newton_root
 
-POINT_BUDGET = 1 << 20
+CATALOG_Q_LIMIT = 64  # curve_search and best_stat_curves sweep fields up to this size
 
 
 class BudgetExceededError(RuntimeError):
@@ -267,8 +267,8 @@ class Divisor:
         return "Divisor(%s)" % (self.items(),)
 
 
-def place_divisor(place, mult=1):
-    return Divisor({place: mult})
+def place_divisor(place):
+    return Divisor({place: 1})
 
 
 class RRBasis:
@@ -377,26 +377,16 @@ class ProjectiveLine:
     def infinite_place(self):
         return Place(self, 1, "inf", None)
 
-    def place_of_poly(self, poly):
-        if isinstance(poly, Polynomial):
-            raw = poly.coeffs
-        else:
-            raw = tuple(poly)
-        if not gf.is_irreducible_raw(self.field, list(raw)):
-            raise ValueError("place polynomial must be irreducible")
-        return Place(self, len(raw) - 1, "poly", raw)
-
     def iter_places(self, d):
-        """Finite places of degree d in encoding order (then infinity, d=1).
+        """Finite places of degree d in encoding order (then infinity, d=1):
+        the field's memoised stream gf.irreducibles, so the first is the
+        canonical modulus.
 
         Lazy: safe to pull a few places even when the full scan would be out
         of budget; `places` enforces the budget for complete lists.
         """
-        F = self.field
-        for k in range(F.size ** d):
-            raw = gf._raw_from_int(F, k, d) + [F.one_index]
-            if gf.is_irreducible_raw(F, raw):
-                yield Place(self, d, "poly", tuple(raw))
+        for raw in gf.irreducibles(self.field, d):
+            yield Place(self, d, "poly", raw)
         if d == 1:
             yield self.infinite_place
 
@@ -409,7 +399,7 @@ class ProjectiveLine:
         return self.places(1)
 
     def point_count(self, k=1):
-        if self.field.size ** k > POINT_BUDGET:
+        if self.field.size ** k > SCAN_LIMIT:
             raise BudgetExceededError("point budget exceeded")
         return self.field.size ** k + 1
 
@@ -646,7 +636,7 @@ class EllipticCurve:
     def points(self, R):
         """Affine points over R in (x, y) index order; O is not included.
         The enumerative oracle that point_count is tested against."""
-        if R.size > POINT_BUDGET:
+        if R.size > SCAN_LIMIT:
             raise BudgetExceededError("point budget exceeded")
         out = []
         for x in range(R.size):
@@ -663,7 +653,7 @@ class EllipticCurve:
         mask per (a1, a3) and a curve costs one AND per x.  `points` is the
         enumerative oracle."""
         R = canonical_extension(self.field, k)
-        if R.size > POINT_BUDGET:
+        if R.size > SCAN_LIMIT:
             raise BudgetExceededError("point budget exceeded")
         if R.char == 2:
             a1, a2, a3, a4, a6 = self.a
@@ -739,7 +729,16 @@ class EllipticCurve:
         its lexicographic minimum, which is the stored representative.
 
         Lazy: safe to pull a few places of any degree; `places` enforces the
-        budget for complete lists."""
+        budget for complete lists.  One scan per degree is kept on the curve,
+        so each fiber is solved once whoever asks; the memo is made on first
+        use, as in expand_branch."""
+        scans = vars(self).setdefault("_scans", {})
+        scan = scans.get(d)
+        if scan is None:
+            scan = scans[d] = gf.Replay(self._place_scan(d))
+        return iter(scan)
+
+    def _place_scan(self, d):
         R = canonical_extension(self.field, d)
         if d == 1:
             yield self.origin_place
@@ -754,7 +753,7 @@ class EllipticCurve:
                     yield Place(self, d, "affine", (x, y))
 
     def places(self, d):
-        if self.field.size ** d > POINT_BUDGET:
+        if self.field.size ** d > SCAN_LIMIT:
             raise BudgetExceededError("point budget exceeded")
         return list(self.iter_places(d))
 
@@ -942,12 +941,15 @@ class EllipticCurve:
 # ---------------------------------------------------------------------------
 
 class CatalogEntry:
+    """A curve with N1, which is counted, and N2, which follows from N1
+    through the zeta function (weil_counts)."""
+
     __slots__ = ("curve", "n1", "n2")
 
-    def __init__(self, curve, n1, n2):
+    def __init__(self, curve, n1):
         self.curve = curve
         self.n1 = n1
-        self.n2 = n2
+        self.n2 = (weil_counts(curve.field.size, n1, 2)[1] - n1) // 2
 
     def __repr__(self):
         return "CatalogEntry(%r, N1=%d, N2=%d)" % (self.curve, self.n1, self.n2)
@@ -1008,13 +1010,13 @@ def _try_curve(F, coeffs):
         return None
 
 
-def curve_search(field, min_n1, max_entries=None):
+def curve_search(field, min_n1):
     """Genus-1 curves over the field with N1 >= min_n1, sorted by N1
     descending then by coefficient tuple.  N1 is counted; N2 follows from it
     through the zeta function (weil_counts)."""
     q = field.size
-    if q > 64:
-        raise BudgetExceededError("curve search supports q <= 64")
+    if q > CATALOG_Q_LIMIT:
+        raise BudgetExceededError("curve search supports q <= %d" % CATALOG_Q_LIMIT)
     found = []
     for coeffs in _weierstrass_family(field):
         E = _try_curve(field, coeffs)
@@ -1024,13 +1026,7 @@ def curve_search(field, min_n1, max_entries=None):
         if n1 >= min_n1:
             found.append((coeffs, E, n1))
     found.sort(key=lambda t: (-t[2], t[0]))
-    if max_entries is not None:
-        found = found[:max_entries]
-    out = []
-    for coeffs, E, n1 in found:
-        n2 = (weil_counts(q, n1, 2)[1] - n1) // 2
-        out.append(CatalogEntry(E, n1, n2))
-    return out
+    return [CatalogEntry(E, n1) for _, E, n1 in found]
 
 
 _best_curves_cache = {}
@@ -1046,8 +1042,8 @@ def best_stat_curves(field):
     if hit is not None:
         return hit
     q = field.size
-    if q > 64:
-        raise BudgetExceededError("curve search supports q <= 64")
+    if q > CATALOG_Q_LIMIT:
+        raise BudgetExceededError("curve search supports q <= %d" % CATALOG_Q_LIMIT)
     hmax = hasse_weil_max(q)
     best_n1 = None       # (n1, coeffs, curve, n1)
     best_flat = None     # (|t|, coeffs, curve, n1)
@@ -1063,10 +1059,7 @@ def best_stat_curves(field):
             best_flat = (t, coeffs, E, n1)
         if best_n1[0] == hmax and best_flat[0] == 0:
             break
-    entries = []
-    for _, _, E, n1 in (best_n1, best_flat):
-        n2 = (weil_counts(q, n1, 2)[1] - n1) // 2
-        entries.append(CatalogEntry(E, n1, n2))
+    entries = [CatalogEntry(E, n1) for _, _, E, n1 in (best_n1, best_flat)]
     _best_curves_cache[key] = entries
     return entries
 

@@ -900,7 +900,13 @@ def canonical_extension(base, d):
     """The canonical degree-d extension: modulus = find_irreducible(base, d)."""
     if d == 1:
         return base
-    return extension(base, find_irreducible(base, d))
+    return extension(base, next(irreducibles(base, d)))
+
+
+def canonical_field(q):
+    """The canonical F_q: F_p, or its canonical degree-s extension for q = p^s."""
+    p, s = factor_prime_power(q)
+    return canonical_extension(prime_field(p), s)
 
 
 # ---------------------------------------------------------------------------
@@ -1169,9 +1175,6 @@ class Polynomial:
         x = self.field.element(x)
         return self.field.from_index(_peval(self.field, self.coeffs, x.index))
 
-    def is_irreducible(self):
-        return is_irreducible_raw(self.field, list(self.coeffs))
-
     def encode(self):
         """Array of element encodings, low degree first."""
         return [self.field.from_index(c).encode() for c in self.coeffs]
@@ -1186,38 +1189,78 @@ class Polynomial:
         return "Poly(%s over %r)" % (" + ".join(terms), self.field)
 
 
-_irreducible_cache = {}
+class Replay:
+    """A re-iterable view of an iterator: each item is pulled from it once,
+    when an iteration first reaches it.  The source must not iterate its own
+    Replay while it computes an item."""
+
+    def __init__(self, items):
+        self._items, self._seen = iter(items), []
+
+    def __iter__(self):
+        k = 0
+        while k < len(self._seen) or self._pull():
+            yield self._seen[k]
+            k += 1
+
+    def _pull(self):
+        for item in self._items:
+            self._seen.append(item)
+            return True
+        return False
 
 
-def find_irreducible(field, degree):
-    """Smallest (by coefficient encoding) monic irreducible of given degree.
+_irreducibles = {}
 
-    Candidates x^d + sum(a_i x^i) are scanned in increasing order of the
-    integer encoding sum(index(a_i) * |F|^i), so the result is deterministic
-    and reproducible across runs.
+
+def irreducibles(field, degree):
+    """The monic irreducibles of the degree over the field, as raw coefficient
+    tuples, lazily and in increasing order of the encoding
+    sum(index(a_i) * |F|^i) of x^d + sum(a_i x^i).
+
+    One memoised scan per (field, degree) serves every caller, since fields
+    are interned: a candidate is tested once per process, when an iteration
+    first reaches it.
     """
     if degree < 1:
         raise ValueError("degree must be >= 1")
-    key = (id(field), degree)
-    hit = _irreducible_cache.get(key)
-    if hit is not None:
-        return hit
-    if degree == 1:
-        poly = Polynomial._from_raw(field, (0, field.one_index))
-        _irreducible_cache[key] = poly
-        return poly
-    for k in range(field.size ** degree):
-        cand = _raw_from_int(field, k, degree) + [field.one_index]
-        if is_irreducible_raw(field, cand):
-            poly = Polynomial._from_raw(field, tuple(cand))
-            _irreducible_cache[key] = poly
-            return poly
-    raise AssertionError("unreachable: irreducibles of every degree exist")
+    key = (field, degree)
+    scan = _irreducibles.get(key)
+    if scan is None:
+        scan = _irreducibles[key] = Replay(_irreducible_scan(field, degree))
+    return iter(scan)
+
+
+def _irreducible_scan(F, degree):
+    for k in range(F.size ** degree):
+        cand = _raw_from_int(F, k, degree) + [F.one_index]
+        if is_irreducible_raw(F, cand):
+            yield tuple(cand)
+
+
+def find_irreducible(field, degree):
+    """Smallest (by coefficient encoding) monic irreducible of given degree:
+    the first of `irreducibles`, so the result is deterministic and
+    reproducible across runs."""
+    return Polynomial._from_raw(field, next(irreducibles(field, degree)))
 
 
 # ---------------------------------------------------------------------------
 # towers
 # ---------------------------------------------------------------------------
+
+def _tower_level(base, poly, name, over):
+    """poly as a Polynomial over base, and the interned base[x]/(poly), which
+    validates poly once per field."""
+    if not isinstance(poly, Polynomial):
+        poly = Polynomial(base, poly)
+    elif poly.field is not base:
+        raise LevelMismatchError("%s must be over %s" % (name, over))
+    try:
+        return poly, extension(base, poly.coeffs)
+    except ValueError:
+        raise ValueError("%s must be monic irreducible" % name) from None
+
 
 class FieldTower:
     """F_p inside F_q inside F_(q^n), with fixed defining polynomials.
@@ -1232,26 +1275,10 @@ class FieldTower:
     def __init__(self, p, base_poly, ext_poly):
         if not is_prime(p):
             raise ValueError("%r is not prime" % (p,))
-        pf = prime_field(p)
+        pf = bf = prime_field(p)
         if base_poly is not None:
-            if isinstance(base_poly, Polynomial):
-                if base_poly.field is not pf:
-                    raise LevelMismatchError("base_poly must be over GF(p)")
-            else:
-                base_poly = Polynomial(pf, base_poly)
-            if not base_poly.is_monic() or not base_poly.is_irreducible():
-                raise ValueError("base_poly must be monic irreducible")
-            bf = extension(pf, base_poly.coeffs)
-        else:
-            bf = pf
-        if isinstance(ext_poly, Polynomial):
-            if ext_poly.field is not bf:
-                raise LevelMismatchError("ext_poly must be over GF(q)")
-        else:
-            ext_poly = Polynomial(bf, ext_poly)
-        if not ext_poly.is_monic() or not ext_poly.is_irreducible():
-            raise ValueError("ext_poly must be monic irreducible")
-        ef = extension(bf, ext_poly.coeffs)
+            base_poly, bf = _tower_level(pf, base_poly, "base_poly", "GF(p)")
+        ext_poly, ef = _tower_level(bf, ext_poly, "ext_poly", "GF(q)")
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "base_poly", base_poly)
         object.__setattr__(self, "ext_poly", ext_poly)
@@ -1273,10 +1300,8 @@ class FieldTower:
     @classmethod
     def canonical(cls, q, n):
         """Tower with lexicographically-first defining polynomials."""
-        p, s = factor_prime_power(q)
-        base_poly = find_irreducible(prime_field(p), s) if s > 1 else None
-        bf = canonical_extension(prime_field(p), s)
-        return cls(p, base_poly, find_irreducible(bf, n))
+        bf = canonical_field(q)
+        return cls(bf.char, bf.modulus if bf.degree > 1 else None, find_irreducible(bf, n))
 
     def key(self):
         return (self.p,

@@ -47,14 +47,20 @@ def rank(field, rows):
     return len(linalg.rref(field, rows)[1])
 
 
-def count_irreducibles(field, degree):
-    """Number of monic irreducibles of the given degree, by enumeration."""
-    total = 0
+def irreducible_list(field, degree):
+    """The monic irreducibles of the given degree in encoding order, by
+    enumeration."""
+    out = []
     for k in range(field.size ** degree):
         cand = gf._raw_from_int(field, k, degree) + [field.one_index]
         if gf.is_irreducible_raw(field, cand):
-            total += 1
-    return total
+            out.append(tuple(cand))
+    return out
+
+
+def count_irreducibles(field, degree):
+    """Number of monic irreducibles of the given degree, by enumeration."""
+    return len(irreducible_list(field, degree))
 
 
 def necklace_count(q, d):

@@ -12,8 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from curvemul import ccma, gf
 from curvemul.gf import FieldTower, prime_field, canonical_extension, find_irreducible
-from curvemul.function_field import (curve_search, BudgetExceededError, EllipticCurve,
-                                     ProjectiveLine)
+from curvemul.function_field import curve_search, BudgetExceededError, EllipticCurve
 
 
 def schoolbook_formula(q, n):
@@ -563,35 +562,67 @@ def test_construct_16_4_leaves_f65536_tables_unbuilt():
     assert done.stdout.split() == ["65536", "7", "True"]
 
 
-def test_replay_pulls_each_item_once_and_replays_in_order():
-    pulled = []
-
-    def source():
-        for k in range(4):
-            pulled.append(k)
-            yield k
-    r = ccma.Replay(source())
-    a, b = iter(r), iter(r)
-    assert (next(a), next(a), next(b)) == (0, 1, 0) and pulled == [0, 1]
-    assert list(r) == [0, 1, 2, 3] and pulled == [0, 1, 2, 3]
-    assert (list(a), list(b)) == ([2, 3], [1, 2, 3])
+SPARE_Q_SCRIPT = """
+import sys
+from curvemul import ccma, gf
+f = ccma.construct_case1(16, 4)
+F16 = f.tower.base_field
+print(gf._irreducibles[(F16, 4)]._seen == [f.tower.ext_poly.coeffs])
+print(f == ccma.load_formula(sys.argv[1]))
+"""
 
 
-def test_construct_16_4_searches_no_spare_q_places(monkeypatch):
-    # the place of the tower's modulus serves as Q, so no other degree-4 place
-    # is pulled from iter_places, and the formula is the pinned one
-    pulled = []
-    iter_places = ProjectiveLine.iter_places
-
-    def counting(self, d):
-        for pl in iter_places(self, d):
-            pulled.append(d)
-            yield pl
-    monkeypatch.setattr(ProjectiveLine, "iter_places", counting)
-    f = ccma.construct_case1(16, 4)
-    assert pulled and 4 not in pulled
+def test_construct_16_4_searches_no_spare_q_places():
+    # the place of the tower's modulus serves as Q, so the shared degree-4
+    # stream over F_16 holds only that polynomial, and the formula is the
+    # pinned one; a fresh interpreter, because the stream is process-global
+    src = os.path.dirname(os.path.dirname(ccma.__file__))
     golden = os.path.join(os.path.dirname(__file__), "golden", "formula_16_4_g0_case1.json")
-    assert f == ccma.load_formula(golden)
+    done = subprocess.run([sys.executable, "-c", SPARE_Q_SCRIPT, golden],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["True", "True"]
+
+
+def test_construct_on_a_curve_without_places_of_degree_n():
+    # y^2 + y = x^3 is maximal over F_4: #E(F_16) = #E(F_4), so no degree-2 place
+    E = EllipticCurve(canonical_extension(prime_field(2), 2), 0, 0, 1, 0, 0)
+    with pytest.raises(ccma.ConstructionError, match="^the curve has no degree-2 place$"):
+        ccma.construct_case1(4, 2, E)
+
+
+RETEST_SCRIPT = """
+import collections
+from curvemul import ccma, gf
+tested = collections.Counter()
+is_irreducible_raw = gf.is_irreducible_raw
+
+
+def counting(F, coeffs):
+    if F.size == 16 and len(coeffs) == 5:
+        tested[tuple(coeffs)] += 1
+    return is_irreducible_raw(F, coeffs)
+
+
+gf.is_irreducible_raw = counting
+ccma.construct_case1(16, 4)
+first, tested = tested, collections.Counter()
+ccma.construct_case1(16, 5)
+print(len(first), len(tested), len(set(first) & set(tested)))
+"""
+
+
+def test_construct_16_5_after_16_4_retests_no_degree_4_candidate():
+    # (16, 5) looks for degree-4 places to build divisors from; the ones
+    # (16, 4) tested stay in the shared stream and are not tested again
+    src = os.path.dirname(os.path.dirname(ccma.__file__))
+    done = subprocess.run([sys.executable, "-c", RETEST_SCRIPT],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    first, second, again = map(int, done.stdout.split())
+    assert first > 0 and second > 0 and again == 0
 
 
 def test_construct_builds_each_space_once_per_divisor(monkeypatch):

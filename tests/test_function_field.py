@@ -31,6 +31,24 @@ E_SS4 = EllipticCurve(F4, 0, 0, 1, 0, 0)       # its base change, maximal over F
 
 # --- places -----------------------------------------------------------------
 
+def test_elliptic_places_scan_each_fiber_once(monkeypatch):
+    # one scan per degree is kept on the curve: a second places(d), and the
+    # rational places, solve no fiber
+    E = EllipticCurve(F4, 0, 0, 1, 1, 0)
+    solved = []
+    fiber = EllipticCurve.fiber
+
+    def counting(self, R, x):
+        solved.append((R, x))
+        return fiber(self, R, x)
+    monkeypatch.setattr(EllipticCurve, "fiber", counting)
+    first = {d: E.places(d) for d in (1, 2, 3)}
+    assert len(solved) == len(set(solved)) == 4 + 16 + 64
+    assert {d: E.places(d) for d in (1, 2, 3)} == first
+    assert E.rational_places() == first[1] and next(E.iter_places(2)) == first[2][0]
+    assert len(solved) == 4 + 16 + 64
+
+
 def test_genus0_place_counts():
     assert len(LINE2.places(1)) == 3                      # x, x+1, infinity
     assert len(LINE2.places(2)) == 1                      # x^2+x+1

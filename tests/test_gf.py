@@ -7,7 +7,8 @@ from curvemul.gf import (FieldTower, Polynomial, prime_field, extension,
                          canonical_extension, find_irreducible, embed, lift,
                          decode_element, LevelMismatchError, NotInSubfieldError)
 
-from invariants import check_field_axioms, check_fermat, count_irreducibles, necklace_count
+from invariants import (check_field_axioms, check_fermat, count_irreducibles, irreducible_list,
+                        necklace_count)
 
 F2 = prime_field(2)
 F3 = prime_field(3)
@@ -202,6 +203,33 @@ def test_element_encoding_round_trip():
             assert F.from_index(x.index) == x
 
 
+def test_irreducibles_stream_matches_enumeration():
+    # the memoised stream lists every monic irreducible in encoding order,
+    # whether a caller pulled part of it first or not
+    next(gf.irreducibles(F9, 3))
+    for F, d in ((F2, 1), (F2, 5), (F3, 3), (F4, 3), (F9, 2), (F9, 3), (F16, 2)):
+        want = irreducible_list(F, d)
+        assert list(gf.irreducibles(F, d)) == want, (F, d)
+        assert list(gf.irreducibles(F, d)) == want
+        assert find_irreducible(F, d).coeffs == want[0]
+    with pytest.raises(ValueError):
+        gf.irreducibles(F2, 0)
+
+
+def test_replay_pulls_each_item_once_and_replays_in_order():
+    pulled = []
+
+    def source():
+        for k in range(4):
+            pulled.append(k)
+            yield k
+    r = gf.Replay(source())
+    a, b = iter(r), iter(r)
+    assert (next(a), next(a), next(b)) == (0, 1, 0) and pulled == [0, 1]
+    assert list(r) == [0, 1, 2, 3] and pulled == [0, 1, 2, 3]
+    assert (list(a), list(b)) == ([2, 3], [1, 2, 3])
+
+
 def test_scalar_and_coercion():
     assert F4.scalar(3).index == 1  # 3 mod 2
     assert F9.scalar(4) == F9.one() + F9.one() + F9.one() + F9.one()
@@ -213,8 +241,16 @@ def test_tower_construction_and_validation():
     assert tw.q == 4 and tw.n == 4 and tw.ext_field.size == 256
     with pytest.raises(ValueError):
         FieldTower(4, None, find_irreducible(F2, 2))  # 4 is not prime
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^base_poly must be monic irreducible$"):
         FieldTower(2, Polynomial(F2, [1, 0, 1]), find_irreducible(F4, 2))  # t^2+1 reducible
+    with pytest.raises(ValueError, match="^ext_poly must be monic irreducible$"):
+        FieldTower(2, (1, 1, 1), (2, 0, 1))  # t^2+2 has the root 3 in F4
+    with pytest.raises(ValueError, match="^ext_poly must be monic irreducible$"):
+        FieldTower(2, None, (1, 1, 1, 1))    # monic, but t^3+t^2+t+1 = (t+1)^3
+    with pytest.raises(ValueError, match="^ext_poly must be monic irreducible$"):
+        FieldTower(2, (1, 1, 1), (1, 2))     # not monic
+    with pytest.raises(LevelMismatchError):
+        FieldTower(2, (1, 1, 1), find_irreducible(F2, 2))  # ext_poly over GF(p), not GF(q)
 
 
 def test_tower_equality_and_serialization():
