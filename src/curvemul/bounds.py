@@ -6,6 +6,7 @@ decimals (half-up) happens only when a table is rendered, so the published
 comparison rows are reproduced digit for digit.
 """
 
+import functools
 import math
 from fractions import Fraction
 
@@ -173,9 +174,6 @@ def _degree_n_place_certified(q, n, g, curve):
 # best bound
 # ---------------------------------------------------------------------------
 
-_best_cache = {}
-
-
 def best_bound(q, n, depth=2, construct="auto"):
     """Minimum over the in-scope methods, as a certificate whose chain fully
     reconstructs the value.  Exact values short-circuit: nothing in scope may
@@ -189,17 +187,15 @@ def best_bound(q, n, depth=2, construct="auto"):
         raise ValueError("recursion depth capped at 3")
     if construct == "auto":
         construct = q ** n <= CONSTRUCT_SIZE_LIMIT and q <= CATALOG_Q_LIMIT
-    key = (q, n, depth, bool(construct))
-    hit = _best_cache.get(key)
-    if hit is not None:
-        return hit
+    return _best_bound(q, n, depth, bool(construct))
 
+
+@functools.cache  # called positionally with "auto" resolved: one entry per bound
+def _best_bound(q, n, depth, construct):
     es = exact_small(q, n)
     if es is not None:
         method = "shokrollahi-elliptic" if es == 2 * n else "winograd-exact"
-        cert = BoundCertificate(q, n, es, method, {"exact": True})
-        _best_cache[key] = cert
-        return cert
+        return BoundCertificate(q, n, es, method, {"exact": True})
 
     flag = None
     candidates = [BoundCertificate(q, n, n * (n + 1) // 2, "schoolbook")]
@@ -241,7 +237,6 @@ def best_bound(q, n, depth=2, construct="auto"):
 
     best = min(candidates, key=lambda c: (c.value, _METHOD_PRIORITY.index(c.method)))
     best.flag = flag
-    _best_cache[key] = best
     return best
 
 

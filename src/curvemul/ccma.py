@@ -502,19 +502,14 @@ def _place_rows(basis_funcs, place):
     return [[dv[c] for dv in digits] for c in range(d)]
 
 
-_QUAD_CACHE = {}
-
-
+@functools.cache
 def quadratic_formula(q):
     """The library's fixed rank-3 symmetric formula for F_(q^2)/F_q, built
     once per q from the genus-0 construction."""
-    f = _QUAD_CACHE.get(q)
-    if f is None:
-        f = construct_case1(q, 2)
-        if f.rank != 3:
-            raise VerificationError("quadratic formula over GF(%d) has rank %d, not 3"
-                                    % (q, f.rank))
-        _QUAD_CACHE[q] = f
+    f = construct_case1(q, 2)
+    if f.rank != 3:
+        raise VerificationError("quadratic formula over GF(%d) has rank %d, not 3"
+                                % (q, f.rank))
     return f
 
 

@@ -25,6 +25,7 @@ Conventions fixed once so that every run reproduces the same objects:
   evaluation at that representative.
 """
 
+import functools
 import math
 
 from . import gf, linalg
@@ -56,24 +57,18 @@ class UnsupportedDivisorError(ValueError):
 # bit operations once a few products per field are known.
 # ---------------------------------------------------------------------------
 
-_as_bases = {}
-_trace_forms = {}
-
-
+@functools.cache
 def _as_basis(F):
     """An XOR basis of the image of z -> z^2 + z on F of characteristic 2
     (the trace-0 hyperplane): pairs (z^2 + z, z), reduced so that their top
     image bits differ, in decreasing order of them."""
-    basis = _as_bases.get(F)
-    if basis is None:
-        basis = []
-        for k in range(1, F.degree):  # e_0 = 1 is in the kernel
-            z = 1 << k
-            img, pre = _as_reduce(basis, F.mul(z, z) ^ z, z)
-            if img:
-                basis.append((img, pre))
-                basis.sort(reverse=True)
-        _as_bases[F] = basis
+    basis = []
+    for k in range(1, F.degree):  # e_0 = 1 is in the kernel
+        z = 1 << k
+        img, pre = _as_reduce(basis, F.mul(z, z) ^ z, z)
+        if img:
+            basis.append((img, pre))
+            basis.sort(reverse=True)
     return basis
 
 
@@ -84,23 +79,21 @@ def _as_reduce(basis, img, pre):
     return img, pre
 
 
+@functools.cache
 def _trace_form(F):
     """[mask of e_j for j < m] on F of characteristic 2, F_(2^m): bit k of
     the mask of c is Tr(c e_k), so Tr(a c) is the parity of a & mask, and
     Tr(c) that of c & form[0] (e_0 is 1)."""
-    form = _trace_forms.get(F)
-    if form is None:
-        m, mul = F.degree, F.mul
-        tr0 = 0
-        for k in range(m):
-            z = c = 1 << k
-            for _ in range(m - 1):
-                z = mul(z, z)
-                c ^= z
-            tr0 |= c << k  # Tr(e_k) lies in F_2: index 0 or 1
-        form = _trace_forms[F] = [sum(((mul(1 << j, 1 << k) & tr0).bit_count() & 1) << k
-                                      for k in range(m)) for j in range(m)]
-    return form
+    m, mul = F.degree, F.mul
+    tr0 = 0
+    for k in range(m):
+        z = c = 1 << k
+        for _ in range(m - 1):
+            z = mul(z, z)
+            c ^= z
+        tr0 |= c << k  # Tr(e_k) lies in F_2: index 0 or 1
+    return [sum(((mul(1 << j, 1 << k) & tr0).bit_count() & 1) << k for k in range(m))
+            for j in range(m)]
 
 
 def _trace_mask(form, c):
@@ -134,17 +127,15 @@ def solve_quadratic(F, a, b):
     return sorted((F.sub(r, half_a), F.sub(F.neg(r), half_a)))
 
 
-# EllipticCurve.point_count's memos, per field R the count runs over:
-_char_sums = {}   # odd p: {(b2, b4, b6): sum over x in R of chi(4x^3 + b2 x^2 + 2b4 x + b6)}
-_trace_rows = {}  # p = 2: {(a1, a3): [trace mask of x for each x in R with a1 x + a3 != 0]}
-
-
+@functools.cache
 def _char_sum(R, b2, b4, b6):
+    """The sum over x in R of chi(4x^3 + b2 x^2 + 2b4 x + b6), odd p."""
     chi, p = gf.quadratic_character(R), R.char
     g = [b6, R.mul(2 % p, b4), b2, 4 % p]
     return sum(chi(_peval(R, g, x)) for x in range(R.size))
 
 
+@functools.cache
 def _trace_row(R, a1, a3):
     """For each x with h = a1 x + a3 != 0 in turn, the mask M of x with
     Tr(f(x)/h^2) = parity(v & M), v = a2 | a4 << s | a6 << 2s | 1 << 3s over
@@ -337,7 +328,7 @@ class RationalFunction:
                 raise PoleEvaluationError("pole at infinity")
             return self.num.coeffs[-1]  # over the monic denominator's 1
         R = place.residue_field
-        rho = place.curve._root_of(place)
+        rho = _place_root(place.curve.field, place.data)
         den_v = _peval(R, self.den.coeffs, rho)
         if not den_v:
             raise PoleEvaluationError("pole at %r" % (place,))
@@ -361,6 +352,17 @@ class RationalFunction:
         return mult_in(self.num) - mult_in(self.den)
 
 
+@functools.cache
+def _place_root(F, poly):
+    """The fixed residue identification of the genus-0 place poly over F, as
+    an index of the canonical F_(q^d): the smallest root of poly, by
+    gf.roots.  The canonical modulus itself maps to the generator t, whose
+    index is q: every smaller index lies in F_q, where it has no root."""
+    d = len(poly) - 1
+    R = canonical_extension(F, d)
+    return F.size if d > 1 and poly == R.modulus else gf.roots(R, poly)[0]
+
+
 class ProjectiveLine:
     """The rational function field F_q(x); genus 0."""
 
@@ -368,7 +370,6 @@ class ProjectiveLine:
 
     def __init__(self, field):
         self.field = field
-        self._roots = {}
 
     def __repr__(self):
         return "P1(GF(%d))" % self.field.size
@@ -402,22 +403,6 @@ class ProjectiveLine:
         if self.field.size ** k > SCAN_LIMIT:
             raise BudgetExceededError("point budget exceeded")
         return self.field.size ** k + 1
-
-    def _root_of(self, place):
-        """The fixed residue identification, as an index of the canonical
-        F_(q^d): the smallest root of the place polynomial, by gf.roots.  The
-        canonical modulus itself maps to the generator t, whose index is q:
-        every smaller index lies in F_q, where it has no root."""
-        rho = self._roots.get(place.data)
-        if rho is not None:
-            return rho
-        R = place.residue_field
-        if place.degree > 1 and place.data == R.modulus:
-            rho = self.field.size
-        else:
-            rho = gf.roots(R, place.data)[0]
-        self._roots[place.data] = rho
-        return rho
 
     def riemann_roch(self, D):
         """L(D) = { z * x^j / m : 0 <= j <= deg D } with m, z the positive and
@@ -657,20 +642,13 @@ class EllipticCurve:
             raise BudgetExceededError("point budget exceeded")
         if R.char == 2:
             a1, a2, a3, a4, a6 = self.a
-            rows = _trace_rows.setdefault(R, {})
-            row = rows.get((a1, a3))
-            if row is None:
-                row = rows[(a1, a3)] = _trace_row(R, a1, a3)
+            row = _trace_row(R, a1, a3)
             s = R.degree
             v = a2 | a4 << s | a6 << 2 * s | 1 << 3 * s
             odd = sum((v & m).bit_count() & 1 for m in row)
             return 1 + R.size + len(row) - 2 * odd
         b2, b4, b6, _ = self.b_invariants()
-        sums = _char_sums.setdefault(R, {})
-        total = sums.get((b2, b4, b6))
-        if total is None:
-            total = sums[(b2, b4, b6)] = _char_sum(R, b2, b4, b6)
-        return 1 + R.size + total
+        return 1 + R.size + _char_sum(R, b2, b4, b6)
 
     def neg_point(self, R, P):
         if P is None:
@@ -1029,18 +1007,12 @@ def curve_search(field, min_n1):
     return [CatalogEntry(E, n1) for _, E, n1 in found]
 
 
-_best_curves_cache = {}
-
-
+@functools.cache
 def best_stat_curves(field):
     """Two catalog entries per field: the maximal-N1 curve and the maximal
     N1+2N2 curve (N1+2N2 is the F_(q^2) point count).  N1 is counted and N2
     follows from it through the zeta function.  Scan stops early once both
     optima are provably reached."""
-    key = id(field)
-    hit = _best_curves_cache.get(key)
-    if hit is not None:
-        return hit
     q = field.size
     if q > CATALOG_Q_LIMIT:
         raise BudgetExceededError("curve search supports q <= %d" % CATALOG_Q_LIMIT)
@@ -1059,9 +1031,7 @@ def best_stat_curves(field):
             best_flat = (t, coeffs, E, n1)
         if best_n1[0] == hmax and best_flat[0] == 0:
             break
-    entries = [CatalogEntry(E, n1) for _, _, E, n1 in (best_n1, best_flat)]
-    _best_curves_cache[key] = entries
-    return entries
+    return [CatalogEntry(E, n1) for _, _, E, n1 in (best_n1, best_flat)]
 
 
 def catalog_rows(entries):

@@ -18,7 +18,7 @@ operations are pure.
 """
 
 from array import array
-from functools import reduce
+from functools import cache, reduce
 from itertools import zip_longest
 from operator import xor
 
@@ -791,9 +791,6 @@ def sliced_product(E):
 # roots there come from Tonelli-Shanks (Tonelli 1891; Shanks 1973).
 # ---------------------------------------------------------------------------
 
-_nonsquares = {}
-
-
 def quadratic_character(F):
     """The quadratic character of F, of odd characteristic, as a function on
     indices: 0 at 0, 1 on the other squares, -1 elsewhere.  A field of at
@@ -861,25 +858,17 @@ def sqrt(F, z):
     return r
 
 
+@cache
 def _nonsquare(F):
     """The smallest non-square index of F (odd characteristic)."""
-    z = _nonsquares.get(F)
-    if z is None:
-        h, one = F.size // 2, F.one_index
-        z = _nonsquares[F] = next(z for z in range(2, F.size) if F.pow_(z, h) != one)
-    return z
+    h, one = F.size // 2, F.one_index
+    return next(z for z in range(2, F.size) if F.pow_(z, h) != one)
 
 
-_prime_fields = {}
-_extension_fields = {}
-
-
-def prime_field(p):
-    """Interned F_p."""
-    f = _prime_fields.get(p)
-    if f is None:
-        f = _prime_fields[p] = PrimeField(p)
-    return f
+@cache
+def prime_field(p, /):
+    """Interned F_p (positional only: a keyword call would be a second key)."""
+    return PrimeField(p)
 
 
 def extension(base, modulus):
@@ -888,12 +877,10 @@ def extension(base, modulus):
         if modulus.field is not base:
             raise LevelMismatchError("modulus is not over the base field")
         modulus = modulus.coeffs
-    modulus = tuple(modulus)
-    key = (id(base), modulus)
-    f = _extension_fields.get(key)
-    if f is None:
-        f = _extension_fields[key] = ExtensionField(base, modulus)
-    return f
+    return _extension_field(base, tuple(modulus))
+
+
+_extension_field = cache(ExtensionField)  # keyed by (base, modulus tuple)
 
 
 def canonical_extension(base, d):
@@ -1195,7 +1182,7 @@ class Replay:
     Replay while it computes an item."""
 
     def __init__(self, items):
-        self._items, self._seen = iter(items), []
+        self._items, self._seen, self._error = iter(items), [], None
 
     def __iter__(self):
         k = 0
@@ -1204,13 +1191,18 @@ class Replay:
             k += 1
 
     def _pull(self):
-        for item in self._items:
-            self._seen.append(item)
-            return True
+        """Whether one more item was pulled.  A source that raised is over,
+        so every later pull raises too, rather than end the stream short."""
+        if self._error is not None:
+            raise RuntimeError("the stream's source failed") from self._error
+        try:
+            for item in self._items:
+                self._seen.append(item)
+                return True
+        except BaseException as e:
+            self._error = e
+            raise
         return False
-
-
-_irreducibles = {}
 
 
 def irreducibles(field, degree):
@@ -1224,11 +1216,12 @@ def irreducibles(field, degree):
     """
     if degree < 1:
         raise ValueError("degree must be >= 1")
-    key = (field, degree)
-    scan = _irreducibles.get(key)
-    if scan is None:
-        scan = _irreducibles[key] = Replay(_irreducible_scan(field, degree))
-    return iter(scan)
+    return iter(_irreducible_replay(field, degree))
+
+
+@cache
+def _irreducible_replay(F, degree):
+    return Replay(_irreducible_scan(F, degree))
 
 
 def _irreducible_scan(F, degree):

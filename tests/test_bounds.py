@@ -106,6 +106,16 @@ def test_best_bound_examples():
     assert c.value == 8 == bounds.exact_small(4, 4)
 
 
+def test_best_bound_memo_key_resolves_defaults():
+    # one memo entry per (q, n, depth, construct) once "auto" is resolved,
+    # however the arguments are spelled
+    c = bounds.best_bound(2, 5)
+    assert bounds.best_bound(2, 5, 2) is c
+    assert bounds.best_bound(2, 5, depth=2, construct="auto") is c
+    assert bounds.best_bound(2, 5, construct=True) is c
+    assert bounds.best_bound(2, 5, construct=False) is not c
+
+
 def test_best_bound_constructed_certificate():
     c = bounds.best_bound(2, 3)
     assert c.value == 6 and c.method == "constructed-formula"

@@ -567,7 +567,7 @@ import sys
 from curvemul import ccma, gf
 f = ccma.construct_case1(16, 4)
 F16 = f.tower.base_field
-print(gf._irreducibles[(F16, 4)]._seen == [f.tower.ext_poly.coeffs])
+print(gf._irreducible_replay(F16, 4)._seen == [f.tower.ext_poly.coeffs])
 print(f == ccma.load_formula(sys.argv[1]))
 """
 

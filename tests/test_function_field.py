@@ -1,3 +1,4 @@
+import itertools
 import os
 import random
 import subprocess
@@ -49,6 +50,24 @@ def test_elliptic_places_scan_each_fiber_once(monkeypatch):
     assert len(solved) == 4 + 16 + 64
 
 
+def test_genus0_residue_roots_shared_between_lines(monkeypatch):
+    # the residue identification of a place is memoised per (field, place
+    # polynomial), not per line: _construct makes a fresh line on every call
+    F16 = canonical_extension(F4, 2)
+    raw = list(itertools.islice(gf.irreducibles(F16, 4), 2))[1]  # not the modulus
+    function_field._place_root.cache_clear()
+    calls, roots = [], gf.roots
+
+    def counting(R, f):
+        calls.append(f)
+        return roots(R, f)
+    monkeypatch.setattr(gf, "roots", counting)
+    x = RationalFunction(F16, Polynomial(F16, [0, 1]), Polynomial(F16, [1]))
+    a, b = ProjectiveLine(F16), ProjectiveLine(F16)
+    values = [x.eval_at(Place(line, 4, "poly", raw)) for line in (a, b)]
+    assert values[0] == values[1] and calls == [raw]
+
+
 def test_genus0_place_counts():
     assert len(LINE2.places(1)) == 3                      # x, x+1, infinity
     assert len(LINE2.places(2)) == 1                      # x^2+x+1
@@ -92,19 +111,29 @@ def _sweep_curves(F, step=1):
     return [E for E in (function_field._try_curve(F, c) for c in family) if E is not None]
 
 
+def _clear_point_count_memos():
+    function_field._char_sum.cache_clear()
+    function_field._trace_row.cache_clear()
+
+
+def _assert_point_count_memos_within(q, fields):
+    # at most q^3 character sums and q^2 trace rows per field counted over
+    assert function_field._char_sum.cache_info().currsize <= fields * q ** 3
+    assert function_field._trace_row.cache_info().currsize <= fields * q ** 2
+
+
 def test_point_count_matches_enumeration():
     # the character sums against the enumerative oracle `points`: every
     # curve of the full sweeps at k = 1, and at k = 2 for q <= 4
     for p, d in ((2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3)):
         F = canonical_extension(prime_field(p), d)
         R2 = canonical_extension(F, 2)
+        _clear_point_count_memos()
         for E in _sweep_curves(F):
             assert E.point_count(1) == 1 + len(E.points(F)), E
             if F.size <= 4:
                 assert E.point_count(2) == 1 + len(E.points(R2)), E
-        q = F.size
-        assert len(function_field._char_sums.get(F, ())) <= q ** 3
-        assert len(function_field._trace_rows.get(F, ())) <= q ** 2
+        _assert_point_count_memos_within(F.size, 2 if F.size <= 4 else 1)  # R2 counts too
 
 
 def _invariants_reference(F, a):
@@ -143,11 +172,10 @@ def test_point_count_matches_enumeration_normal_forms(p, d):
     family = list(function_field._weierstrass_family(F))
     curves = _sweep_curves(F, max(1, len(family) // 40))
     assert len(curves) >= 30
+    _clear_point_count_memos()
     for E in curves:
         assert E.point_count(1) == 1 + len(E.points(F)), E
-    q = F.size
-    assert len(function_field._char_sums.get(F, ())) <= q ** 3
-    assert len(function_field._trace_rows.get(F, ())) <= q ** 2
+    _assert_point_count_memos_within(F.size, 1)
 
 
 def test_place_partition_identity():

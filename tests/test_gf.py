@@ -230,6 +230,46 @@ def test_replay_pulls_each_item_once_and_replays_in_order():
     assert (list(a), list(b)) == ([2, 3], [1, 2, 3])
 
 
+def test_replay_fails_loudly_after_its_source_raised():
+    # a source that raised is over: every later pull past the items it gave
+    # raises, chained from its error, rather than end the stream short
+    def source():
+        yield 0
+        yield 1
+        raise KeyError("third item")
+    r = gf.Replay(source())
+    with pytest.raises(KeyError):
+        list(r)
+    for _ in range(2):
+        it = iter(r)
+        assert (next(it), next(it)) == (0, 1)
+        with pytest.raises(RuntimeError) as failed:
+            next(it)
+        assert isinstance(failed.value.__cause__, KeyError)
+
+
+def test_interrupted_irreducible_scan_never_lists_fewer(monkeypatch):
+    F = gf.PrimeField(3)  # not interned: a fresh key of the process-wide memo
+    tested, is_irreducible_raw = [], gf.is_irreducible_raw
+
+    def interrupted(field, cand):
+        tested.append(cand)
+        if len(tested) == 5:
+            raise KeyboardInterrupt
+        return is_irreducible_raw(field, cand)
+    monkeypatch.setattr(gf, "is_irreducible_raw", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        list(gf.irreducibles(F, 2))
+    monkeypatch.undo()
+    want = irreducible_list(F, 2)
+    assert len(want) == 3
+    try:
+        listed = list(gf.irreducibles(F, 2))
+    except RuntimeError:
+        return
+    assert listed == want
+
+
 def test_scalar_and_coercion():
     assert F4.scalar(3).index == 1  # 3 mod 2
     assert F9.scalar(4) == F9.one() + F9.one() + F9.one() + F9.one()
