@@ -14,7 +14,7 @@ from .ccma import (SymmetricBilinearFormula, construct_case1, construct_case3,
                    compose, verify, brute_force_symmetric_rank, quadratic_formula,
                    save_formula, load_formula)
 from .bounds import (BoundCertificate, AsymptoticRecord, epsilon, exact_small,
-                     theorem2_bounds, best_bound, asymptotic_bounds, cacr_bounds,
+                     rank_floor, theorem2_bounds, best_bound, asymptotic_bounds, cacr_bounds,
                      comparison_table, render_comparison_table, witness_degree,
                      drinfeld_vladut)
 

@@ -11,7 +11,7 @@ import math
 from fractions import Fraction
 
 from . import ccma
-from .gf import canonical_field, factor_prime_power
+from .gf import canonical_field, factor_prime_power, PostconditionError
 from .function_field import (best_stat_curves, BudgetExceededError, CATALOG_Q_LIMIT,
                              UnsupportedDivisorError)
 
@@ -44,6 +44,8 @@ class BoundCertificate:
                 raise ccma.VerificationError(
                     "composition certificate %d(%d) does not multiply %d(%d) * %d(%d)"
                     % (value, n, a.value, a.n, b.value, b.n))
+        if value < rank_floor(q, n):  # a verifier or a theorem was misapplied
+            raise PostconditionError("%r is below rank_floor" % self)
 
     def to_dict(self):
         d = {"q": self.q, "n": self.n, "value": self.value, "method": self.method,
@@ -91,15 +93,17 @@ def epsilon(q):
     return k
 
 
+def rank_floor(q, n):
+    """Lower bound on mu_sym_q(n): 2n-1, and 2n when 2n > q+2 (Winograd,
+    TCS 8, 1979; de Groote, SIAM J. Comput. 12, 1983)."""
+    return 2 * n - 1 if 2 * n <= q + 2 else 2 * n
+
+
 def exact_small(q, n):
-    """The known exact symmetric rank, when (q, n) falls in a solved range:
-    2n-1 for 2n <= q+2, 2n for q+2 < 2n < q+1+epsilon(q), 1 for n=1."""
-    if n == 1:
-        return 1
-    if 2 * n <= q + 2:
-        return 2 * n - 1
-    if q + 2 < 2 * n < q + 1 + epsilon(q):
-        return 2 * n
+    """The known exact symmetric rank: rank_floor(q, n) where the floor is
+    attained, for 2n <= q+2 (n = 1 included) and 2n < q+1+epsilon(q)."""
+    if 2 * n <= q + 2 or 2 * n < q + 1 + epsilon(q):
+        return rank_floor(q, n)
     return None
 
 
@@ -177,7 +181,7 @@ def _degree_n_place_certified(q, n, g, curve):
 def best_bound(q, n, depth=2, construct="auto"):
     """Minimum over the in-scope methods, as a certificate whose chain fully
     reconstructs the value.  Exact values short-circuit: nothing in scope may
-    beat them, by the known lower bound 2n-1 and the solved ranges."""
+    beat them, by rank_floor and the solved ranges."""
     factor_prime_power(q)
     if n < 1:
         raise ValueError("extension degree must be >= 1")
@@ -228,16 +232,23 @@ def _best_bound(q, n, depth, construct):
             candidates.append(BoundCertificate(q, n, ca.value * cb.value, "composition",
                                                children=(ca, cb)))
 
-    if construct and n >= 2:
-        formula = _attempt_constructions(q, n)
+    # build only a formula that can win: at best it reaches rank_floor, and
+    # there it loses a tie to any method ahead of it in _METHOD_PRIORITY
+    floor_key = (rank_floor(q, n), _METHOD_PRIORITY.index("constructed-formula"))
+    if construct and min(map(_rank_key, candidates)) > floor_key:
+        formula = _attempt_constructions(q, n, floor_key[0])
         if formula is not None:
             candidates.append(BoundCertificate(q, n, formula.rank, "constructed-formula",
                                                {"provenance": formula.provenance},
                                                formula=formula))
 
-    best = min(candidates, key=lambda c: (c.value, _METHOD_PRIORITY.index(c.method)))
+    best = min(candidates, key=_rank_key)
     best.flag = flag
     return best
+
+
+def _rank_key(cert):
+    return cert.value, _METHOD_PRIORITY.index(cert.method)
 
 
 def _nonspecial_available(entry):
@@ -250,7 +261,7 @@ def _nonspecial_available(entry):
         return False
 
 
-def _attempt_constructions(q, n):
+def _attempt_constructions(q, n, floor):
     attempts = []
     curves = [None]
     try:
@@ -263,9 +274,9 @@ def _attempt_constructions(q, n):
                 attempts.append(builder(q, n, curve))
             except ccma.ConstructionError:
                 continue
-    if not attempts:
-        return None
-    return min(attempts, key=lambda f: f.rank)
+            if attempts[-1].rank <= floor:  # nothing ranks lower: the first minimum
+                return attempts[-1]
+    return min(attempts, key=lambda f: f.rank, default=None)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,12 @@
 import math
+import types
 from fractions import Fraction
 
 import pytest
 
 from curvemul import bounds, ccma
-from curvemul.gf import factor_prime_power
+from curvemul.function_field import best_stat_curves
+from curvemul.gf import canonical_field, factor_prime_power, PostconditionError
 
 
 def _prime_powers(limit):
@@ -128,11 +130,64 @@ def test_best_bound_floor_and_exact_consistency():
         n = 1
         while q ** (n + 1) <= (1 << 16):
             n += 1
-            cert = bounds.best_bound(q, n, construct=False)
-            assert cert.value >= 2 * n - 1, (q, n, cert)
-            es = bounds.exact_small(q, n)
-            if es is not None:
-                assert cert.value == es, (q, n)
+            for construct in (False, True) if q ** n <= bounds.CONSTRUCT_SIZE_LIMIT else (False,):
+                cert = bounds.best_bound(q, n, construct=construct)
+                assert cert.value >= bounds.rank_floor(q, n), (q, n, cert)
+                es = bounds.exact_small(q, n)
+                if es is not None:
+                    assert cert.value == es, (q, n)
+    # the floor against the brute-force oracle: attained at (2, 2) and (3, 2),
+    # and no formula of rank 5 at (2, 3), where 2n > q + 2 raises it to 6
+    assert ccma.brute_force_symmetric_rank(2, 2, 4) == bounds.rank_floor(2, 2) == 3
+    assert ccma.brute_force_symmetric_rank(3, 2, 4) == bounds.rank_floor(3, 2) == 3
+    assert bounds.rank_floor(2, 3) == 6 and ccma.brute_force_symmetric_rank(2, 3, 5) is None
+
+
+@pytest.fixture
+def fresh_bounds():
+    bounds._best_bound.cache_clear()
+    yield
+    bounds._best_bound.cache_clear()
+
+
+@pytest.fixture
+def builds(monkeypatch, fresh_bounds):
+    """(builder, q, n, curve coefficients) of every ccma builder call."""
+    calls = []
+    for name in ("construct_case1", "construct_case3"):
+        def counted(q, n, curve=None, *args, _build=getattr(ccma, name), _name=name, **kw):
+            calls.append((_name, q, n, None if curve is None else curve.a))
+            return _build(q, n, curve, *args, **kw)
+        monkeypatch.setattr(ccma, name, counted)
+    return calls
+
+
+def test_best_bound_builds_only_formulas_that_can_win(builds):
+    # theorem2-case1 already sits at the floor 6 and wins ties: nothing is built
+    c = bounds.best_bound(3, 3, 3)
+    assert (c.value, c.method) == (6, "theorem2-case1") and builds == []
+    # the genus-0 case-3 formula reaches the floor; the rank-9 genus-1 one is skipped
+    c = bounds.best_bound(2, 3, 3)
+    assert (c.value, c.method) == (6, "constructed-formula")
+    assert ("construct_case3", 2, 3, (0, 0, 1, 0, 0)) not in builds
+    assert c.details["provenance"] == ccma.construct_case3(2, 3).provenance
+    assert c.details["provenance"]["genus"] == 0
+    # above the floor every builder runs on the line and on every catalogue curve
+    curves = [None] + [e.curve.a for e in best_stat_curves(canonical_field(3))]
+    for n, value in ((4, 9), (5, 12)):
+        assert bounds.best_bound(3, n, 3).value == value
+        assert [b for b in builds if b[1:3] == (3, n)] == [
+            (name, 3, n, a) for name in ("construct_case1", "construct_case3") for a in curves]
+
+
+def test_best_bound_below_rank_floor_raises(monkeypatch, fresh_bounds):
+    # a verified formula below a proven lower bound means a broken verifier
+    fake = types.SimpleNamespace(rank=2 * 3 - 2, provenance={})
+    monkeypatch.setattr(ccma, "construct_case1", lambda q, n, curve=None: fake)
+    with pytest.raises(PostconditionError):
+        bounds.best_bound(2, 3, 3)
+    with pytest.raises(PostconditionError):
+        bounds.BoundCertificate(4, 4, 7, "theorem2-case1")
 
 
 def test_exact_small_never_beaten_by_other_methods():

@@ -3,14 +3,18 @@ certificates, pinned byte for byte.
 
 Refactors must not change what curvemul writes.  The files under
 tests/golden/ were recorded before the element-representation refactor
-(`curves_q8_min13.txt` before N2 came from the zeta function) with
-`PYTHONPATH=src python tests/test_golden.py`, which rewrites them from the
-code it imports; the test recomputes every output and compares bytes.
+(`curves_q8_min13.txt` before N2 came from the zeta function,
+`bound_depth3_wide.txt` before best_bound stopped at the rank floor) with
+`PYTHONPATH=src python tests/test_golden.py`.  The recorder writes only the
+files that are missing: an existing file whose content differs is left as it
+is, named on stderr, and the exit code is 1, so adding a file never re-records
+a pinned output.  The test recomputes every output and compares bytes.
 """
 
 import contextlib
 import io
 import os
+import sys
 import tempfile
 import time
 
@@ -21,6 +25,9 @@ from curvemul.function_field import EllipticCurve, curve_search
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 BOUND_QS = (2, 3, 4, 5, 7, 8, 9, 16)
 BOUND_NS = range(2, 7)
+# the cells of the benchmark's bound sweep that bound_depth3.txt leaves out
+WIDE_CELLS = ([(q, n) for q in BOUND_QS for n in (7, 8)]
+              + [(q, n) for q in (25, 32, 49, 64) for n in range(2, 9)])
 
 
 def _cli(*argv):
@@ -49,6 +56,10 @@ def _genus1_16_6():
     return ccma.construct_case1(16, 6, EllipticCurve(F16, 0, 0, 1, 0, 8))
 
 
+def _bounds(cells):
+    return "".join(_cli("bound", "--q", str(q), "--n", str(n), "--depth", "3") for q, n in cells)
+
+
 def golden_outputs():
     """{file name under tests/golden: text} for every pinned output."""
     F4 = canonical_extension(prime_field(2), 2)
@@ -70,9 +81,27 @@ def golden_outputs():
     out["curves_q4.txt"] = _cli("curves", "--q", "4")
     out["curves_q5.txt"] = _cli("curves", "--q", "5")
     out["curves_q8_min13.txt"] = _cli("curves", "--q", "8", "--min-n1", "13")
-    out["bound_depth3.txt"] = "".join(_cli("bound", "--q", str(q), "--n", str(n), "--depth", "3")
-                                      for q in BOUND_QS for n in BOUND_NS)
+    out["bound_depth3.txt"] = _bounds((q, n) for q in BOUND_QS for n in BOUND_NS)
+    out["bound_depth3_wide.txt"] = _bounds(WIDE_CELLS)
     return out
+
+
+def record(outputs, directory):
+    """Write each output whose file is missing; name on stderr, and leave
+    alone, each existing file whose content differs.  Returns the exit code."""
+    os.makedirs(directory, exist_ok=True)
+    code = 0
+    for name, text in outputs.items():
+        path = os.path.join(directory, name)
+        if not os.path.exists(path):
+            with open(path, "w", newline="") as fh:
+                fh.write(text)
+            continue
+        with open(path, newline="") as fh:
+            if fh.read() != text:
+                print("%s differs from the code's output; left as it is" % path, file=sys.stderr)
+                code = 1
+    return code
 
 
 def test_golden_outputs_byte_identical():
@@ -94,8 +123,16 @@ def test_genus1_formula_above_point_budget():
         assert _formula_file(formula) == fh.read()
 
 
+def test_recorder_writes_only_missing_files(tmp_path, capsys):
+    (tmp_path / "same.txt").write_text("a\n")
+    (tmp_path / "pinned.txt").write_text("old\n")
+    code = record({"same.txt": "a\n", "pinned.txt": "new\n", "missing.txt": "m\n"},
+                  str(tmp_path))
+    assert code == 1 and "pinned.txt" in capsys.readouterr().err
+    assert (tmp_path / "pinned.txt").read_text() == "old\n"
+    assert (tmp_path / "missing.txt").read_text() == "m\n"
+    assert record({"same.txt": "a\n"}, str(tmp_path)) == 0
+
+
 if __name__ == "__main__":
-    os.makedirs(GOLDEN, exist_ok=True)
-    for name, text in golden_outputs().items():
-        with open(os.path.join(GOLDEN, name), "w", newline="") as fh:
-            fh.write(text)
+    sys.exit(record(golden_outputs(), GOLDEN))
