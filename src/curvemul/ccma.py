@@ -105,8 +105,8 @@ class SymmetricBilinearFormula:
         """Multiply x and y using the formula (the minimal-multiplication path)."""
         E = self.tower.ext_field
         Fq = self.tower.base_field
-        xv = E.element(x).val
-        yv = E.element(y).val
+        xv = E.value_of(E.element(x).index)
+        yv = E.value_of(E.element(y).index)
         fadd, fmul = Fq.add, Fq.mul
         badd = E.base.add
         acc = (0,) * E.deg
@@ -122,7 +122,7 @@ class SymmetricBilinearFormula:
             s = fmul(a, b)
             if s:
                 acc = tuple(badd(t, fmul(s, cc)) for t, cc in zip(acc, c))
-        return FieldElement(E, acc)
+        return FieldElement(E, E.index_of(acc))
 
     def __repr__(self):
         return ("SymmetricBilinearFormula(q=%d, n=%d, rank=%d, %s)"

@@ -67,11 +67,8 @@ def _genus_attempts(field, genera):
             entries = best_stat_curves(field)
         except BudgetExceededError:
             return
-        curves = []
-        for entry in entries:
-            if all(c is not entry.curve for c in curves):
-                curves.append(entry.curve)
-                yield 1, entry.curve
+        for entry in entries:  # two distinct curves (test_function_field pins it)
+            yield 1, entry.curve
 
 
 def cmd_construct(args):
@@ -113,7 +110,7 @@ def cmd_construct(args):
 def cmd_verify(args):
     try:
         formula = ccma.load_formula(args.file)
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as e:
+    except (OSError, ValueError, KeyError, RecursionError) as e:  # RecursionError: deep nesting
         _emit(status="bad-input", detail=e)
         return EXIT_INPUT
     report = ccma.verify(formula, args.mode, pairs=args.pairs, seed=args.seed)
@@ -127,13 +124,13 @@ def cmd_verify(args):
 def cmd_bound(args):
     _check_qn(args.q, args.n, for_construction=False)
     cert = bounds.best_bound(args.q, args.n, depth=args.depth)
-    _emit(status="ok", q=args.q, n=args.n, value=cert.value, method=cert.method,
-          flag=cert.flag or "-")
     text = json.dumps(cert.to_dict(), indent=1, sort_keys=True)
-    if args.out:
+    if args.out:  # written first, so an unwritable path prints no status=ok
         with open(args.out, "w") as fh:
             fh.write(text + "\n")
-    else:
+    _emit(status="ok", q=args.q, n=args.n, value=cert.value, method=cert.method,
+          flag=cert.flag or "-")
+    if not args.out:
         print(text)
     return EXIT_OK
 
@@ -265,8 +262,9 @@ def main(argv=None):
         return e.code if isinstance(e.code, int) else EXIT_INPUT
     try:
         return args.func(args)
-    except (ValueError, gf.LevelMismatchError, BudgetExceededError) as e:
-        # an input too large for an exhaustive search is bad input too
+    except (ValueError, OSError, BudgetExceededError) as e:
+        # an unwritable --out path, or an input too large for an exhaustive
+        # search, is bad input too
         _emit(status="bad-input", detail=e)
         return EXIT_INPUT
     except gf.PostconditionError as e:

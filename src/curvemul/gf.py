@@ -1,15 +1,16 @@
 """Exact arithmetic in small finite fields and their extension towers.
 
 Fields are built as F_p -> F_q -> F_(q^n) with explicit defining polynomials.
-An element of a prime field is an integer in {0, ..., p-1}; an element of an
-extension field is a tuple of *indices* of base-field elements (little-endian
-coefficients of the residue class).  Every element therefore has a canonical
-integer index obtained by reading the coefficient tuple in base |base field|,
-which doubles as the serialization format and as the deterministic ordering
-used everywhere in this package.  An element of a field keeps its index in
-every canonical extension F[t]/(f) (its tuple is (index, 0, ..., 0)), so the
-library passes indices between levels without converting them, and the
-integer k maps to the index k mod p at every level.
+The raw value of an element of a prime field is an integer in {0, ..., p-1};
+that of an element of an extension field is a tuple of *indices* of
+base-field elements (little-endian coefficients of the residue class).  Every
+element therefore has a canonical integer index obtained by reading the
+coefficient tuple in base |base field|, which doubles as the serialization
+format and as the deterministic ordering used everywhere in this package.
+An element of a field keeps its index in every canonical extension F[t]/(f)
+(its tuple is (index, 0, ..., 0)), so the library, FieldElement included,
+passes indices between levels without converting them, and the integer k
+maps to the index k mod p at every level.
 
 Field objects are interned: asking twice for the same (base, modulus) pair
 returns the same object, so residue fields produced in different places are
@@ -311,21 +312,18 @@ class _FieldBase:
     """
 
     def element(self, x):
-        """Coerce x (FieldElement, int index of prime subfield, raw value)."""
+        """Coerce x (FieldElement, int under Z -> F, raw value) to an element."""
         if isinstance(x, FieldElement):
             if x.field is not self:
                 raise LevelMismatchError("element of %s used in %s" % (x.field, self))
             return x
         if isinstance(x, int):
             return self.scalar(x)
-        return FieldElement(self, self._check_value(x))
+        return FieldElement(self, self.index_of(self._check_value(x)))
 
     def scalar(self, k):
-        """Image of the integer k under Z -> F (prime subfield constant)."""
-        return FieldElement(self, self._scalar_value(k))
-
-    def _scalar_value(self, k):
-        raise NotImplementedError
+        """Image of the integer k under Z -> F: the index k mod p."""
+        return FieldElement(self, k % self.char)
 
     def zero(self):
         return self.from_index(0)
@@ -334,9 +332,7 @@ class _FieldBase:
         return self.from_index(self.one_index)
 
     def from_index(self, i):
-        if not 0 <= i < self.size:
-            raise ValueError("index out of range")
-        return FieldElement(self, self.value_of(i))
+        return FieldElement(self, i)
 
     def __iter__(self):
         if self.size > SCAN_LIMIT:
@@ -386,9 +382,6 @@ class PrimeField(_FieldBase):
             raise ValueError("bad prime-field value %r" % (v,))
         return v
 
-    def _scalar_value(self, k):
-        return k % self.p
-
     # index ops (index == value here)
     def add(self, i, j):
         return (i + j) % self.p
@@ -414,9 +407,6 @@ class PrimeField(_FieldBase):
         return (a - b) % self.p
 
     sub = vsub
-
-    def vpow(self, a, e):
-        return self.pow_(a, e)
 
     def index_of(self, v):
         return v
@@ -477,10 +467,6 @@ class ExtensionField(_FieldBase):
                 and all(isinstance(c, int) and 0 <= c < self.base.size for c in v)):
             raise ValueError("bad extension-field value %r" % (v,))
         return v
-
-    def _scalar_value(self, k):
-        c = self.base.index_of(self.base._scalar_value(k))
-        return (c,) + (0,) * (self.deg - 1)
 
     def index_of(self, v):
         idx = 0
@@ -901,78 +887,75 @@ def canonical_field(q):
 # ---------------------------------------------------------------------------
 
 class FieldElement:
-    """An element of a finite field, immutable and hashable.
+    """An element of a finite field, immutable and hashable: the field and
+    the element's index in it.  `FieldElement(field, i)` takes an index; a
+    raw value (int or coefficient tuple) goes through `field.element`.
 
-    Supports +, -, *, /, ** and integer coercion of the other operand.
+    Supports +, -, *, /, ** through the field's index ops, and integer
+    coercion of the other operand (k is the index k mod p).
     """
 
-    __slots__ = ("field", "val")
+    __slots__ = ("field", "index")
 
-    def __init__(self, field, val):
+    def __init__(self, field, index):
+        if not isinstance(index, int):
+            raise TypeError("FieldElement takes an element index, not %r; "
+                            "use field.element for a raw value" % (index,))
+        if not 0 <= index < field.size:
+            raise ValueError("index out of range")
         object.__setattr__(self, "field", field)
-        object.__setattr__(self, "val", val)
+        object.__setattr__(self, "index", index)
 
     def __setattr__(self, *a):
         raise AttributeError("FieldElement is immutable")
 
-    def _coerce(self, other):
+    def _other(self, other):
+        """The index of `other` in this field; None for an unsupported type."""
         if isinstance(other, FieldElement):
             if other.field is not self.field:
                 raise LevelMismatchError("mixing elements of %s and %s"
                                          % (self.field, other.field))
-            return other
+            return other.index
         if isinstance(other, int):
-            return self.field.scalar(other)
-        return NotImplemented
+            return other % self.field.char
+        return None
 
     def __add__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, self.field.vadd(self.val, o.val))
+        j, F = self._other(other), self.field
+        return NotImplemented if j is None else FieldElement(F, F.add(self.index, j))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, self.field.vsub(self.val, o.val))
+        j, F = self._other(other), self.field
+        return NotImplemented if j is None else FieldElement(F, F.sub(self.index, j))
 
     def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, self.field.vsub(o.val, self.val))
+        j, F = self._other(other), self.field
+        return NotImplemented if j is None else FieldElement(F, F.sub(j, self.index))
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, self.field.vmul(self.val, o.val))
+        j, F = self._other(other), self.field
+        return NotImplemented if j is None else FieldElement(F, F.mul(self.index, j))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, self.field.vmul(self.val, self.field.vinv(o.val)))
+        j, F = self._other(other), self.field
+        return NotImplemented if j is None else FieldElement(F, F.mul(self.index, F.inv(j)))
 
     def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, self.field.vmul(o.val, self.field.vinv(self.val)))
+        j, F = self._other(other), self.field
+        return NotImplemented if j is None else FieldElement(F, F.mul(j, F.inv(self.index)))
 
     def __neg__(self):
-        return FieldElement(self.field, self.field.vneg(self.val))
+        return FieldElement(self.field, self.field.neg(self.index))
 
     def __pow__(self, e):
-        return FieldElement(self.field, self.field.vpow(self.val, e))
+        return FieldElement(self.field, self.field.pow_(self.index, e))
 
     def inverse(self):
-        return FieldElement(self.field, self.field.vinv(self.val))
+        return FieldElement(self.field, self.field.inv(self.index))
 
     def frobenius(self, k=1):
         """x -> x^(p^k), the k-fold absolute Frobenius."""
@@ -980,35 +963,30 @@ class FieldElement:
 
     def __eq__(self, other):
         if isinstance(other, FieldElement):
-            return self.field is other.field and self.val == other.val
+            return self.field is other.field and self.index == other.index
         if isinstance(other, int):
-            return self == self.field.scalar(other)
+            return self.index == other % self.field.char
         return NotImplemented
 
     def __hash__(self):
-        return hash((id(self.field), self.val))
+        return hash((id(self.field), self.index))
 
     def __bool__(self):
         return self.index != 0
 
     @property
-    def index(self):
-        return self.field.index_of(self.val) if isinstance(self.field, ExtensionField) else self.val
-
-    @property
     def coeffs(self):
         """Coefficient vector over the base field (length 1 for prime fields)."""
-        if isinstance(self.field, ExtensionField):
-            return tuple(FieldElement(self.field.base, self.field.base.value_of(c))
-                         for c in self.val)
-        return (self,)
+        base = self.field.base
+        if base is None:
+            return (self,)
+        return tuple(FieldElement(base, c) for c in self.field.value_of(self.index))
 
     def encode(self):
         """Nested-array serialization: int at prime level, lists above."""
-        if isinstance(self.field, ExtensionField):
-            return [FieldElement(self.field.base, self.field.base.value_of(c)).encode()
-                    for c in self.val]
-        return self.val
+        if self.field.base is None:
+            return self.index
+        return [c.encode() for c in self.coeffs]
 
     def __repr__(self):
         return "%r(%d)" % (self.field, self.index)
@@ -1016,32 +994,32 @@ class FieldElement:
 
 def decode_element(field, data):
     """Inverse of FieldElement.encode."""
-    if isinstance(field, ExtensionField):
-        if not (isinstance(data, (list, tuple)) and len(data) == field.deg):
+    if field.base is None:
+        if not (isinstance(data, int) and 0 <= data < field.size):
             raise ValueError("bad encoding for %r" % (field,))
-        return FieldElement(field, tuple(decode_element(field.base, c).index for c in data))
-    if not (isinstance(data, int) and 0 <= data < field.size):
+        return FieldElement(field, data)
+    if not (isinstance(data, (list, tuple)) and len(data) == field.deg):
         raise ValueError("bad encoding for %r" % (field,))
-    return FieldElement(field, data)
+    return FieldElement(field, field.index_of([decode_element(field.base, c).index for c in data]))
 
 
 def embed(x, target):
-    """Embed x into `target`, an extension field with base field x.field."""
-    if target is x.field:
-        return x
-    if isinstance(target, ExtensionField) and target.base is x.field:
-        return FieldElement(target, (x.index,) + (0,) * (target.deg - 1))
+    """Embed x into `target`: x.field itself or an extension field over it.
+    The element keeps its index."""
+    if target is x.field or target.base is x.field:
+        return FieldElement(target, x.index)
     raise LevelMismatchError("no embedding of %s into %s" % (x.field, target))
 
 
 def lift(x):
-    """Inverse of embed for elements that lie in the base field."""
-    f = x.field
-    if not isinstance(f, ExtensionField):
+    """Inverse of embed for elements that lie in the base field: the same
+    index, one level down."""
+    base = x.field.base
+    if base is None:
         raise NotInSubfieldError("element is already at the bottom level")
-    if any(c for c in x.val[1:]):
+    if x.index >= base.size:
         raise NotInSubfieldError("element lies outside the base field")
-    return FieldElement(f.base, f.base.value_of(x.val[0]))
+    return FieldElement(base, x.index)
 
 
 # ---------------------------------------------------------------------------
@@ -1061,7 +1039,7 @@ class Polynomial:
                     raise LevelMismatchError("coefficient from the wrong field")
                 raw.append(c.index)
             elif isinstance(c, int):
-                raw.append(field.scalar(c).index)
+                raw.append(c % field.char)
             else:
                 raise ValueError("bad coefficient %r" % (c,))
         while raw and raw[-1] == 0:
@@ -1140,6 +1118,8 @@ class Polynomial:
         return divmod(self, other)[1]
 
     def __pow__(self, e):
+        if e < 0:
+            raise ValueError("negative power of a polynomial")
         r = Polynomial(self.field, [1])
         b = self
         while e:

@@ -111,7 +111,7 @@ def newton_root(field, g_coeffs, y0, prec):
     while k < prec:
         k = min(2 * k, prec)
         g = [c.truncate(k) for c in g_coeffs]
-        dg = [g[i].scale(field.index_of(field._scalar_value(i))) for i in range(1, len(g))]
+        dg = [g[i].scale(i % field.char) for i in range(1, len(g))]
         y = y.truncate(k)
         y = y - _horner(g, y) * _horner(dg, y).inverse()
     if _horner([c.truncate(prec) for c in g_coeffs], y).valuation() is not None:

@@ -236,7 +236,7 @@ def newton_root_reference(field, g_coeffs, y0, prec):
     log2(prec) + 1 Newton passes all at the full precision: the reference
     for the library's precision-doubling iteration."""
     g = [c.truncate(prec) for c in g_coeffs]
-    dg = [g[i].scale(field.index_of(field._scalar_value(i))) for i in range(1, len(g))]
+    dg = [g[i].scale(i % field.char) for i in range(1, len(g))]
     y = Series.constant(field, y0, prec)
 
     def ev(coeffs, s):

@@ -20,9 +20,7 @@ def schoolbook_formula(q, n):
     terms (e_i*, e_i^2 - sum_(j != i) e_i e_j) and ((e_i + e_j)*, e_i e_j)."""
     tower = FieldTower.canonical(q, n)
     Fq, E = tower.base_field, tower.ext_field
-    basis = [E.from_index(0) for _ in range(n)]
-    for i in range(n):
-        basis[i] = gf.FieldElement(E, tuple(Fq.one_index if k == i else 0 for k in range(n)))
+    basis = [E.element(tuple(Fq.one_index if k == i else 0 for k in range(n))) for i in range(n)]
     terms = []
     for i in range(n):
         c = basis[i] * basis[i]
@@ -30,11 +28,11 @@ def schoolbook_formula(q, n):
             if j != i:
                 c = c - basis[i] * basis[j]
         form = tuple(Fq.one_index if k == i else 0 for k in range(n))
-        terms.append((form, c.val))
+        terms.append((form, E.value_of(c.index)))
     for i in range(n):
         for j in range(i + 1, n):
             form = tuple(Fq.one_index if k in (i, j) else 0 for k in range(n))
-            terms.append((form, (basis[i] * basis[j]).val))
+            terms.append((form, E.value_of((basis[i] * basis[j]).index)))
     return ccma.SymmetricBilinearFormula(tower, terms, {"method": "manual"})
 
 

@@ -214,3 +214,23 @@ def test_tensor_mode(tmp_path, capsys):
         json.dump(data, fh)
     code, out = run(capsys, "verify", "--file", f, "--mode", "tensor")
     assert code == 1 and "status=fail" in out and "mode=tensor" in out and "failure=(" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ("construct", "--q", "2", "--n", "2"),
+    ("bound", "--q", "2", "--n", "2"),
+    ("compare-table",),
+])
+def test_unwritable_out_exit3(tmp_path, capsys, argv):
+    # a missing directory and a directory in place of a file are bad input,
+    # not a traceback (which would exit 1, the verify-failure code)
+    for out_path in (tmp_path / "missing" / "f.json", tmp_path):
+        code, out = run(capsys, *argv, "--out", str(out_path))
+        assert code == 3 and out.startswith("status=bad-input"), (out_path, out)
+
+
+def test_verify_deeply_nested_file_exit3(tmp_path, capsys):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200000)
+    code, out = run(capsys, "verify", "--file", str(deep))
+    assert code == 3 and "status=bad-input" in out

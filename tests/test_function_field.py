@@ -518,6 +518,18 @@ def test_best_stat_curves():
     assert max(e.n1 + 2 * e.n2 for e in entries) == 25  # (q+1)^2 over F16
 
 
+def test_best_stat_curves_are_two_distinct_curves():
+    # the CLI tries both catalogue curves in turn and relies on this: no
+    # field below the catalogue limit has one curve that is both optima
+    for q in range(2, function_field.CATALOG_Q_LIMIT + 1):
+        try:
+            F = gf.canonical_field(q)
+        except ValueError:
+            continue  # not a prime power
+        a, b = best_stat_curves(F)
+        assert a.curve is not b.curve and a.curve.a != b.curve.a, q
+
+
 def test_catalog_rows_format():
     rows = catalog_rows(curve_search(F2, 5))
     assert rows[0].startswith("2,2,") and rows[0].endswith(",1,5,0")

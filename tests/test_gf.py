@@ -189,11 +189,20 @@ def test_polynomial_arithmetic():
     assert p(F4.from_index(3)) == (F4.from_index(3) + 1) * (F4.from_index(3) + F4.from_index(2))
 
 
+def test_polynomial_power_rejects_negative_exponents():
+    x = Polynomial(F4, [0, 1])
+    p = x + F4.from_index(2)
+    assert p ** 0 == Polynomial(F4, [1])
+    assert p ** 3 == p * p * p
+    with pytest.raises(ValueError):
+        p ** -1  # used to square the base forever
+
+
 def test_polynomial_eval_in_extension():
     pi = find_irreducible(F2, 2)
     root = next(x for x in F4 if not pi(x))
     assert pi(root) == F4.zero()
-    assert root.val == (0, 1)  # the canonical generator is its first root
+    assert F4.value_of(root.index) == (0, 1)  # the canonical generator is its first root
 
 
 def test_element_encoding_round_trip():
@@ -536,3 +545,94 @@ def test_sqrt_before_tables_and_above_limit():
         gf.sqrt(F4, 2)
     with pytest.raises(ValueError):
         gf.quadratic_character(F16)
+
+
+def _element_test_field(kind, q, n):
+    if kind == "untabled":
+        return _uninterned(q, n)
+    E = FieldTower.canonical(q, n).ext_field
+    if kind == "table":
+        E.log_tables()
+    return E
+
+
+@pytest.mark.parametrize("kind,q,n", [("table", 16, 2), ("table", 3, 5),
+                                      ("untabled", 16, 3), ("untabled", 3, 8),
+                                      ("above", 16, 5), ("above", 3, 11)])
+def test_field_element_ops_match_value_ops(kind, q, n):
+    # FieldElement runs on the index ops; the tuple value ops are the reference
+    E = _element_test_field(kind, q, n)
+    val, idx = E.value_of, E.index_of
+    rng = random.Random(q * n)
+    for _ in range(25):
+        i, j = rng.randrange(E.size), rng.randrange(1, E.size)
+        x, y = E.from_index(i), E.from_index(j)
+        a, b = val(i), val(j)
+        e = rng.randrange(-E.size, E.size)
+        assert (x + y).index == idx(E.vadd(a, b))
+        assert (x - y).index == idx(E.vsub(a, b))
+        assert (x * y).index == idx(E.vmul(a, b))
+        assert (x / y).index == idx(E.vmul(a, E.vinv(b)))
+        assert (y ** e).index == idx(E.vpow(b, e))
+        assert y.inverse().index == idx(E.vinv(b))
+        assert y.frobenius().index == idx(E.vpow(b, E.char))
+        assert y.frobenius(2).index == idx(E.vpow(b, E.char ** 2))
+        assert (-x).index == idx(E.vneg(a))
+        # an int operand is the index k mod p, on either side
+        k, s = rng.randrange(-9, 9), E.scalar(rng.randrange(-9, 9))
+        assert (k + x).index == (x + k).index == idx(E.vadd(a, val(k % E.char)))
+        assert (k - y).index == idx(E.vsub(val(k % E.char), b))
+        assert (k * x).index == idx(E.vmul(val(k % E.char), a))
+        assert (s.index / y).index == idx(E.vmul(val(s.index), E.vinv(b)))
+        assert (x ** 0).index == E.one_index
+    if kind == "untabled":
+        assert E._log is None  # every op above ran on the untabled path
+    zero = E.zero()
+    for divide in (lambda: E.one() / zero, lambda: E.one() / 0, lambda: 1 / zero,
+                   zero.inverse, lambda: zero ** -1):
+        with pytest.raises(ZeroDivisionError, match="^inverse of zero$"):
+            divide()
+
+
+def test_field_element_holds_field_and_index():
+    x = F16.from_index(7)
+    assert gf.FieldElement.__slots__ == ("field", "index")
+    assert (x.field, x.index) == (F16, 7) and repr(x) == "GF(16)(7)"
+    assert F16.element((3, 1)).index == 7 and F16.element(5).index == 1
+    with pytest.raises(TypeError, match="field.element"):
+        gf.FieldElement(F16, (3, 1))  # a raw value, not an index
+    for i in (-1, 16):
+        with pytest.raises(ValueError, match="^index out of range$"):
+            gf.FieldElement(F16, i)
+    with pytest.raises(AttributeError):
+        x.index = 3
+    assert F9.from_index(1) == 4 and F9.from_index(2) == -1 and F9.from_index(3) != 3  # 3 is t
+    # elements of different fields are unequal and do not mix
+    assert F4.one() != F16.one() and not F4.one() == F16.one()
+    assert _uninterned(4, 2).from_index(5) != F16.from_index(5)
+    for op in ("__add__", "__sub__", "__mul__", "__truediv__"):
+        with pytest.raises(LevelMismatchError):
+            getattr(F4.one(), op)(F16.one())
+    assert x.__add__("1") is NotImplemented and x.__eq__(None) is NotImplemented
+
+
+def test_embed_lift_and_encoding_keep_the_index_at_every_level():
+    top = canonical_extension(F16, 5)  # F2 -> F4 -> F16 -> F_(16^5), above TABLE_LIMIT
+    levels = [F2, F4, F16, top]
+    rng = random.Random(11)
+    for F, R in zip(levels, levels[1:] + [None]):
+        for i in [0, 1, F.size - 1] + [rng.randrange(F.size) for _ in range(20)]:
+            x = F.from_index(i)
+            assert decode_element(F, x.encode()) == x
+            assert embed(x, F) == x
+            if R is not None:
+                assert embed(x, R).index == i and lift(embed(x, R)) == x
+            if F.base is not None:
+                assert x.coeffs == tuple(F.base.from_index(c) for c in F.value_of(i))
+                if i >= F.base.size:
+                    with pytest.raises(NotInSubfieldError):
+                        lift(x)
+    with pytest.raises(NotInSubfieldError):
+        lift(F2.one())
+    with pytest.raises(LevelMismatchError):
+        embed(F4.one(), top)  # top is over F16, not F4
