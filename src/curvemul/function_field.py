@@ -13,7 +13,7 @@ Conventions fixed once so that every run reproduces the same objects:
   F_q[t]/(find_irreducible(F_q, d));
 * every value crossing this module's interface is an element index (see
   gf): place data, curve coefficients, evaluations (an index of the place's
-  residue field), series and matrix entries.  An element of F_q has the same
+  residue field) and matrix entries.  An element of F_q has the same
   index in every residue field, so F_q coefficients are used there as they
   are, and a Frobenius-invariant value is read back in F_q by its index;
 * a genus-0 finite place is a monic irreducible polynomial in x, identified
@@ -22,7 +22,11 @@ Conventions fixed once so that every run reproduces the same objects:
   t, whose index is q;
 * a genus-1 place is a Frobenius orbit of an affine point, stored by its
   lexicographically smallest representative; evaluation at the place is
-  evaluation at that representative.
+  evaluation at that representative;
+* orders, vanishing conditions and values where a denominator vanishes are
+  exact congruences over F_q[x] modulo powers of the minimal polynomial pi
+  of the place's x (Cantor, "Computing in the Jacobian of a hyperelliptic
+  curve", Math. Comp. 48, 1987).
 """
 
 import functools
@@ -31,7 +35,6 @@ import math
 from . import gf, linalg
 from .gf import (FieldElement, Polynomial, canonical_extension, PostconditionError,
                  SCAN_LIMIT, _peval)
-from .series import Series, poly_on_series, newton_root
 
 CATALOG_Q_LIMIT = 64  # curve_search and best_stat_curves sweep fields up to this size
 
@@ -340,16 +343,19 @@ class RationalFunction:
         if place.kind == "inf":
             return self.den.degree - self.num.degree
         pi = Polynomial._from_raw(self.field, place.data)
+        return _valuation(self.num, pi) - _valuation(self.den, pi)
 
-        def mult_in(poly):
-            k = 0
-            while True:
-                q, r = divmod(poly, pi)
-                if not r.is_zero():
-                    return k
-                poly, k = q, k + 1
 
-        return mult_in(self.num) - mult_in(self.den)
+def _valuation(poly, pi):
+    """The largest k with pi^k dividing poly; math.inf for 0."""
+    if poly.is_zero():
+        return math.inf
+    k = 0
+    while True:
+        poly, r = divmod(poly, pi)
+        if not r.is_zero():
+            return k
+        k += 1
 
 
 @functools.cache
@@ -462,15 +468,11 @@ class CurveFunction:
                              self.den * other.den)
 
     def __mul__(self, other):
-        E = self.curve
-        F = E.field
-        a1, a2, a3, a4, a6 = E.a
-        rhs = Polynomial._from_raw(F, (a6, a4, a2, F.one_index))  # y^2 + ylin*y = rhs
-        ylin = Polynomial._from_raw(F, gf._ptrim([a3, a1]))
+        h, f = self.curve._hf()
         bb = self.bnum * other.bnum
-        anum = self.anum * other.anum + bb * rhs
-        bnum = self.anum * other.bnum + other.anum * self.bnum - bb * ylin
-        return CurveFunction(E, anum, bnum, self.den * other.den)
+        anum = self.anum * other.anum + bb * f
+        bnum = self.anum * other.bnum + other.anum * self.bnum - bb * h
+        return CurveFunction(self.curve, anum, bnum, self.den * other.den)
 
     def _origin_order(self):
         """Exact pole/zero order at the origin: orders of x and y are -2 and
@@ -495,40 +497,47 @@ class CurveFunction:
                 raise PoleEvaluationError("pole at the origin")
             return R.mul(self.anum.coeffs[-1], R.inv(self.den.coeffs[-1]))
         x0, y0 = place.data
-        den_v = _peval(R, self.den.coeffs, x0)
-        if den_v:
-            num_v = R.add(_peval(R, self.anum.coeffs, x0),
-                          R.mul(_peval(R, self.bnum.coeffs, x0), y0))
-            return R.mul(num_v, R.inv(den_v))
-        # apparent singularity: decide by local expansion
-        prec = 2 * self.den.degree + 2 * max(self.anum.degree, self.bnum.degree, 0) + 4
-        num_s, den_s = self._local_series(place, prec)
-        vn, vd = num_s.valuation(), den_s.valuation()
-        if vn is None:
-            vn = prec
-        if vn < vd:
-            raise PoleEvaluationError("pole at %r" % (place,))
-        if vn > vd:
-            return 0
-        return R.mul(num_s.coeffs[vn], R.inv(den_s.coeffs[vd]))
-
-    def _local_series(self, place, prec):
-        R = place.residue_field
-        xs, ys = self.curve.expand_branch(place, prec)
-        a_s, b_s, d_s = (poly_on_series(R, p.coeffs, xs) for p in (self.anum, self.bnum, self.den))
-        return a_s + b_s * ys, d_s
+        a, b, den = self.anum, self.bnum, self.den
+        den_v = _peval(R, den.coeffs, x0)
+        if not den_v:
+            # apparent singularity: with den = pi^k den', the value is that of
+            # the numerator divided by pi^k exactly, over den'
+            E = self.curve
+            pi, v0, ramified = E._local(place)
+            k = _valuation(den, pi)
+            pik = pi ** k
+            if v0 is not None and not ramified:
+                a, b = (a + b * E._branch(place, k + 1)) % (pik * pi), Polynomial(E.field, [])
+            (a, ra), (b, rb), den = divmod(a, pik), divmod(b, pik), den // pik
+            if not (ra.is_zero() and rb.is_zero()):
+                raise PoleEvaluationError("pole at %r" % (place,))
+            den_v = _peval(R, den.coeffs, x0)
+        num_v = R.add(_peval(R, a.coeffs, x0), R.mul(_peval(R, b.coeffs, x0), y0))
+        return R.mul(num_v, R.inv(den_v))
 
     def ord_at(self, place):
+        """ord_P of the function; None for 0.  With v the pi-adic valuation,
+        the numerator a + b y has order v(a + bV), y being the branch V at P;
+        min(v(a), v(b)) where P is its own flip; and min(2 v(a + b v0),
+        2 v(b) + 1) where P is ramified.  The denominator has order v(den),
+        doubled where P is ramified."""
         if self.is_zero():
             return None
         if place.kind == "origin":
             return self._origin_order()
-        bound = 2 * (self.den.degree + max(self.anum.degree, self.bnum.degree, 0)) + 6
-        num_s, den_s = self._local_series(place, bound)
-        vn, vd = num_s.valuation(), den_s.valuation()
-        if vn is None or vd is None:
-            raise PostconditionError("precision bound too small")
-        return vn - vd
+        E = self.curve
+        pi, v0, ramified = E._local(place)
+        a, b = self.anum, self.bnum
+        if v0 is None:
+            num = min(_valuation(a, pi), _valuation(b, pi))
+        elif ramified:
+            num = min(2 * _valuation(a + b * v0, pi), 2 * _valuation(b, pi) + 1)
+        else:
+            # the norm a^2 - abh - b^2 f has valuation ord_P + ord_P' >= ord_P
+            h, f = E._hf()
+            j = _valuation(a * a - a * b * h - b * b * f, pi) + 1
+            num = _valuation((a + b * E._branch(place, j)) % pi ** j, pi)
+        return num - (1 + ramified) * _valuation(self.den, pi)
 
 
 def _descend(F, values):
@@ -709,7 +718,7 @@ class EllipticCurve:
         Lazy: safe to pull a few places of any degree; `places` enforces the
         budget for complete lists.  One scan per degree is kept on the curve,
         so each fiber is solved once whoever asks; the memo is made on first
-        use, as in expand_branch."""
+        use, as in _local."""
         scans = vars(self).setdefault("_scans", {})
         scan = scans.get(d)
         if scan is None:
@@ -751,56 +760,71 @@ class EllipticCurve:
         rep = min(self._orbit(R, flipped))
         return Place(self, place.degree, "affine", rep)
 
-    # --- local expansions ---
+    # --- local data: congruences over F_q[x] ---
 
-    def expand_branch(self, place, prec):
-        """Series (x(t), y(t)) at the representative point, t a uniformizer.
-
-        The longest expansion made so far at each place is kept on the curve:
-        a shorter request gets truncated copies of it, since the branch's
-        coefficients do not depend on the precision, and a longer one
-        replaces it.  The memo is made on first use: catalogue sweeps keep
-        thousands of curves that never expand a branch."""
-        branches = vars(self).setdefault("_branches", {})
-        hit = branches.get(place)
-        if hit is None or hit[0].prec < prec:
-            hit = branches[place] = self._expand_branch(place, prec)
-        return hit[0].truncate(prec), hit[1].truncate(prec)
-
-    def _expand_branch(self, place, prec):
-        R = place.residue_field
+    def _hf(self):
+        """(h, f) with h = a1 x + a3 and f = x^3 + a2 x^2 + a4 x + a6: the
+        curve is y^2 + h y = f."""
+        F = self.field
         a1, a2, a3, a4, a6 = self.a
+        return (Polynomial._from_raw(F, gf._ptrim([a3, a1])),
+                Polynomial._from_raw(F, (a6, a4, a2, F.one_index)))
+
+    def _local(self, place):
+        """(pi, v0, ramified) at the affine place P = (x0, y0) of degree d.
+
+        pi is the minimal polynomial of x0 over F_q.  v0, of degree < d, has
+        v0(x0) = y0; it is None when deg pi = d/2, that is when P is its own
+        flip and y0 lies outside F_q(x0).  P is ramified over the x-line when
+        2 y0 + h(x0) = 0; then P is its own flip point and v0 exists.  Kept on
+        the curve per place; the memo is made on first use: catalogue sweeps
+        keep thousands of curves that never need it."""
+        memo = vars(self).setdefault("_locals", {})
+        if place in memo:
+            return memo[place]
+        F, R, d = self.field, place.residue_field, place.degree
         x0, y0 = place.data
-        two = 2 % R.char
-        dy = R.add(R.mul(two, y0), R.add(R.mul(a1, x0), a3))
-        if dy != 0:
-            xs = Series(R, [x0, R.one_index], prec)
-            h = poly_on_series(R, [a3, a1], xs)                  # a1 x + a3
-            rr = poly_on_series(R, [a6, a4, a2, R.one_index], xs)
-            g = [-rr, h, Series.constant(R, R.one_index, prec)]  # Y^2 + hY - r
-            ys = newton_root(R, g, y0, prec)
-            return xs, ys
-        ys = Series(R, [y0, R.one_index], prec)
-        one = Series.constant(R, R.one_index, prec)
-        c2 = Series.constant(R, a2, prec)
-        c1 = Series.constant(R, a4, prec) - ys.scale(a1)
-        c0 = Series.constant(R, a6, prec) - ys * ys - ys.scale(a3)
-        xs = newton_root(R, [c0, c1, c2, one], x0, prec)
-        return xs, ys
+        pi = [R.one_index]
+        for xi in sorted({x for x, _ in self.orbit_points(place)}):
+            pi = gf._pmul(R, pi, [R.neg(xi), R.one_index])
+        pi = Polynomial._from_raw(F, _descend(F, pi))
+        v0 = None
+        if pi.degree == d:  # sum c_i x0^i = y0 on base-q digits, a d x d system
+            cols, xp = [], R.one_index
+            for _ in range(d):
+                cols.append(gf._raw_from_int(F, xp, d))
+                xp = R.mul(xp, x0)
+            v0 = linalg.solve(F, [list(r) for r in zip(*cols)], gf._raw_from_int(F, y0, d))
+            v0 = Polynomial._from_raw(F, gf._ptrim(v0))
+        h, _ = self._hf()
+        ramified = R.add(R.add(y0, y0), _peval(R, h.coeffs, x0)) == 0
+        memo[place] = pi, v0, ramified
+        return memo[place]
+
+    def _branch(self, place, j):
+        """V mod pi^j at an unramified place with v0: the root of
+        V^2 + hV - f = 0 mod pi^j with V = v0 mod pi, which is y in the
+        pi-adic completion.  Newton's step V - (V^2 + hV - f)/(2V + h) doubles
+        the power of pi that V solves to (Hensel lifting); 2V + h is a unit
+        there because P is unramified."""
+        F = self.field
+        pi, V, _ = self._local(place)
+        h, f = self._hf()
+        k = 1
+        while k < j:
+            k = min(2 * k, j)
+            m = pi ** k
+            inv = gf._pinvmod(F, list((V + V + h).coeffs), list(m.coeffs))
+            V = (V - (V * V + h * V - f) * Polynomial._from_raw(F, inv)) % m
+        return V
 
     # --- Riemann-Roch ---
 
     def _norm_poly(self, place):
-        """h_P(x) = product over the orbit of (x - x_i), descended to F_q."""
-        R = place.residue_field
-        coeffs = [R.one_index]
-        for (xi, _) in self.orbit_points(place):
-            new = [0] * (len(coeffs) + 1)
-            for i, c in enumerate(coeffs):
-                new[i + 1] = R.add(new[i + 1], c)
-                new[i] = R.add(new[i], R.mul(R.neg(xi), c))
-            coeffs = new
-        return Polynomial._from_raw(self.field, _descend(self.field, coeffs))
+        """h_P(x) = product over the orbit of (x - x_i), in F_q[x]: pi, or
+        pi^2 when P is its own flip."""
+        pi, v0, _ = self._local(place)
+        return pi if v0 is not None else pi * pi
 
     def riemann_roch(self, D):
         """L(D) by embedding into L(M*O).
@@ -808,7 +832,11 @@ class EllipticCurve:
         With u the product of orbit-norm polynomials over the positive finite
         part of D, every f in L(D) is g/u with g regular away from O; g then
         ranges over L(M*O) subject to vanishing conditions of order
-        ord_P(u) - D(P) at the finitely many affected places.
+        e = ord_P(u) - D(P) at the finitely many affected places.  With ord_P
+        as in CurveFunction.ord_at these are F_q-linear congruences on g's
+        coefficients: a + bV = 0 mod pi^e; a = b = 0 mod pi^e where P is its
+        own flip; a + b v0 = 0 mod pi^ceil(e/2) and b = 0 mod pi^floor(e/2)
+        where P is ramified.
         """
         F = self.field
         m_O = D.get(self.origin_place)
@@ -826,34 +854,26 @@ class EllipticCurve:
         relevant = set(p for p, _ in D.items() if p.kind != "origin")
         for p, _ in plus:
             relevant.add(self.flip_place(p))
+        one, zero, x = Polynomial(F, [1]), Polynomial(F, []), Polynomial(F, [0, 1])
         rows = []
         for p in sorted(relevant, key=lambda q: q.sort_key()):
-            R = p.residue_field
-            prec0 = 2 * max(u.degree, 1) + 2
-            xs, _ = self.expand_branch(p, prec0)
-            u_series = poly_on_series(R, u.coeffs, xs)
-            vu = u_series.valuation()
-            if vu is None:
-                raise PostconditionError("norm polynomial vanished identically")
-            e = vu - D.get(p)
+            pi, v0, ramified = self._local(p)
+            e = (1 + ramified) * _valuation(u, pi) - D.get(p)
             if e <= 0:
                 continue
-            xs, ys = self.expand_branch(p, e)
-            mono_series = []
-            xpow = Series.constant(R, R.one_index, e)
-            xpows = []
-            for _ in range(M // 2 + 1):
-                xpows.append(xpow)
-                xpow = xpow * xs
-            for (i, eps) in monomials:
-                s = xpows[i] * ys if eps else xpows[i]
-                mono_series.append(s)
-            for ell in range(e):
-                if p.degree == 1:
-                    rows.append([s.coeffs[ell] for s in mono_series])
-                else:
-                    vals = [R.value_of(s.coeffs[ell]) for s in mono_series]
-                    rows.extend([v[c] for v in vals] for c in range(p.degree))
+            # ord_p(a + b y) >= e as congruences (m, ca, cb): ca a + cb b = 0 mod m
+            if v0 is None:
+                conds = [(pi ** e, one, zero), (pi ** e, zero, one)]
+            elif ramified:
+                conds = [(pi ** ((e + 1) // 2), one, v0), (pi ** (e // 2), zero, one)]
+            else:
+                conds = [(pi ** e, one, self._branch(p, e))]
+            for m, ca, cb in conds:
+                xpows = [one % m]
+                for _ in range(M // 2):
+                    xpows.append(xpows[-1] * x % m)
+                cols = [(xpows[i] * (cb if eps else ca) % m).coeffs for i, eps in monomials]
+                rows.extend(zip(*(c + (0,) * (m.degree - len(c)) for c in cols)))
         if rows:
             kern = linalg.kernel_basis(F, rows)
         else:

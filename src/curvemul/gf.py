@@ -995,7 +995,7 @@ class FieldElement:
 def decode_element(field, data):
     """Inverse of FieldElement.encode."""
     if field.base is None:
-        if not (isinstance(data, int) and 0 <= data < field.size):
+        if not (type(data) is int and 0 <= data < field.size):
             raise ValueError("bad encoding for %r" % (field,))
         return FieldElement(field, data)
     if not (isinstance(data, (list, tuple)) and len(data) == field.deg):
@@ -1072,6 +1072,11 @@ class Polynomial:
         return self.field.from_index(c)
 
     def __eq__(self, other):
+        """Equal to a Polynomial over the same field with the same
+        coefficients, or to an int k as the constant k mod p."""
+        if isinstance(other, int):
+            k = other % self.field.char
+            return self.coeffs == ((k,) if k else ())
         return (isinstance(other, Polynomial) and other.field is self.field
                 and other.coeffs == self.coeffs)
 

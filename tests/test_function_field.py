@@ -15,11 +15,10 @@ from curvemul.function_field import (ProjectiveLine, EllipticCurve, Divisor, Pla
                                      degree_n_place_exists, weil_counts,
                                      BudgetExceededError, PoleEvaluationError)
 
-from curvemul.series import poly_on_series
-
 from invariants import (check_place_partition, check_hasse, check_rr_random,
                         check_principality_agreement, check_eval_ring_hom,
-                        verify_rr_basis, branch_reference)
+                        verify_rr_basis, branch_reference, poly_on_series,
+                        oracle_ord, oracle_eval)
 
 F2 = prime_field(2)
 F3 = prime_field(3)
@@ -297,18 +296,26 @@ def test_eval_at_degree2_place_genus1():
     assert y_fn.eval_at(pl) == pl.data[1]
 
 
-# --- local branches ---------------------------------------------------------
+# --- local data: congruences over F_q[x] against the series oracle ---------
 
-# y^2 + y = x^3 over F_2 and F_4 (never a vertical tangent: 2y + a3 = 1), and
-# the first catalogue curve over F_3 and over F_5, whose 2-torsion places of
-# degree <= 3 have vertical tangents and take y - y0 as the uniformizer
+# y^2 + y = x^3 over F_2 and F_4 (never ramified: 2y + a3 = 1), the first
+# catalogue curve over F_3 and over F_5, whose 2-torsion places of degree
+# <= 3 are ramified over the x-line and take y - y0 as the local parameter,
+# and the supersingular y^2 = x^3 + x over F_3, which has places of each kind
 BRANCH_CURVES = {"E_SS": E_SS, "E_SS4": E_SS4,
                  "F3": curve_search(F3, 0)[0].curve,
-                 "F5": curve_search(prime_field(5), 0)[0].curve}
+                 "F5": curve_search(prime_field(5), 0)[0].curve,
+                 "F3_ss": EllipticCurve(F3, 0, 0, 0, 1, 0)}
+# the place kinds of degree <= 3: E_SS4 is maximal over F_4, so it has no
+# degree-2 places, and a place of odd degree is never its own flip; the
+# maximal catalogue curves over F_3 and F_5 have none either
+BRANCH_KINDS = {"E_SS": {"generic", "own flip"}, "E_SS4": {"generic"},
+                "F3": {"generic", "ramified"}, "F5": {"generic", "ramified"},
+                "F3_ss": {"generic", "own flip", "ramified"}}
 
 
 def _fresh_curve(name):
-    """A new curve object, so that no branch of it is memoised yet."""
+    """A new curve object, so that nothing of it is memoised yet."""
     E = BRANCH_CURVES[name]
     return EllipticCurve(E.field, *E.a)
 
@@ -317,53 +324,74 @@ def _affine_places(E):
     return [pl for d in (1, 2, 3) for pl in E.places(d) if pl.kind == "affine"]
 
 
-def _vertical(E, pl):
-    R = pl.residue_field
-    a1, _, a3, _, _ = E.a
-    x0, y0 = pl.data
-    return R.add(R.mul(2 % R.char, y0), R.add(R.mul(a1, x0), a3)) == 0
+def _kind(E, pl):
+    _, v0, ramified = E._local(pl)
+    return "own flip" if v0 is None else "ramified" if ramified else "generic"
+
+
+def _value(evaluate, *args):
+    try:
+        return evaluate(*args)
+    except PoleEvaluationError:
+        return "pole"
 
 
 @pytest.mark.parametrize("name", sorted(BRANCH_CURVES))
 def test_branches_solve_the_curve_and_match_the_reference(name):
+    # every affine place of degree <= 3: V solves the curve mod pi^e and is
+    # the oracle's branch; Riemann-Roch bases around the place pass
+    # verify_rr_basis; ord_at and eval_at agree with the series oracle on
+    # the L(4O) basis and its products f, and on (m f)/m and f/m, where m is
+    # the place's norm polynomial, so that the denominator vanishes there
     E = _fresh_curve(name)
-    a1, a2, a3, a4, a6 = E.a
-    vertical = 0
+    F = E.field
+    h, f = E._hf()
+    basis = E.riemann_roch(Divisor({E.origin_place: 4})).functions
+    funcs = list(basis) + [g * k for g, k in itertools.combinations_with_replacement(basis, 2)]
+    kinds = set()
     for pl in _affine_places(E):
+        kind, (pi, v0, _) = _kind(E, pl), E._local(pl)
+        kinds.add(kind)
         R = pl.residue_field
-        vertical += _vertical(E, pl)
-        for prec in (8, 3, 13, 1, 13):  # longer, shorter and equal to the memo
-            xs, ys = E.expand_branch(pl, prec)
-            assert xs.prec == ys.prec == prec
-            lhs = ys * ys + (xs * ys).scale(a1) + ys.scale(a3)
-            rhs = poly_on_series(R, [a6, a4, a2, R.one_index], xs)
-            assert (lhs - rhs).valuation() is None, (pl, prec)
-            ref_x, ref_y = branch_reference(E, pl, prec)
-            assert (xs.coeffs, ys.coeffs) == (ref_x.coeffs, ref_y.coeffs), (pl, prec)
-    assert vertical == 0 if name.startswith("E_SS") else vertical > 0
+        assert pi.degree == (pl.degree if v0 is not None else pl.degree // 2)
+        assert _horner(pi.coeffs, F, R.from_index(pl.data[0])) == 0
+        if v0 is not None:
+            assert v0.degree < pl.degree and v0(R.from_index(pl.data[0])).index == pl.data[1]
+        if kind == "generic":
+            e = 7
+            V = E._branch(pl, e)
+            assert ((V * V + h * V - f) % pi ** e).is_zero(), pl
+            xs, ys = branch_reference(E, pl, e)  # t = x - x0
+            assert poly_on_series(R, V.coeffs, xs).coeffs == ys.coeffs, pl
+        O, flip = E.origin_place, E.flip_place(pl)
+        for D in ({pl: 1}, {pl: 2, O: -1}, {pl: -1, O: 3 + pl.degree}, {flip: 1, pl: -1, O: 2}):
+            verify_rr_basis(E, E.riemann_roch(Divisor(D)))  # odd and even e at pl
+        m = E._norm_poly(pl)
+        for g in funcs:
+            for k in (g, CurveFunction(E, g.anum * m, g.bnum * m, m),
+                      CurveFunction(E, g.anum, g.bnum, m)):
+                assert k.ord_at(pl) == oracle_ord(E, k, pl), (pl, k.anum, k.bnum, k.den)
+                assert (_value(k.eval_at, pl) == _value(oracle_eval, E, k, pl)), (pl, k.anum)
+    assert kinds == BRANCH_KINDS[name]
 
 
 @pytest.mark.parametrize("name", sorted(BRANCH_CURVES))
 def test_branch_memo_order_does_not_matter(name):
+    # the per-place local data and the branches it seeds are the same
+    # whichever order places and precisions are asked for in; V mod pi^5
+    # from a lift to pi^30 is the lift to pi^5
     up, down = _fresh_curve(name), _fresh_curve(name)
-    for p_up, p_down in zip(_affine_places(up), _affine_places(down)):
-        short_first = [up.expand_branch(p_up, 5), up.expand_branch(p_up, 30)]
-        long_first = [down.expand_branch(p_down, 30), down.expand_branch(p_down, 5)][::-1]
-        assert ([s.coeffs for b in short_first for s in b]
-                == [s.coeffs for b in long_first for s in b]), p_up
-
-
-def test_branch_results_are_copies():
-    E = _fresh_curve("F5")
-    pl = next(p for p in _affine_places(E) if p.degree == 2)
-    xs, ys = E.expand_branch(pl, 10)
-    want = (list(xs.coeffs), list(ys.coeffs))
-    xs.coeffs[:] = [0] * 10
-    ys.coeffs.append(1)
-    short, _ = E.expand_branch(pl, 4)
-    short.coeffs[0] = 1
-    xs, ys = E.expand_branch(pl, 10)
-    assert (xs.coeffs, ys.coeffs) == want
+    ups, downs = _affine_places(up), _affine_places(down)[::-1]
+    local_up = [up._local(p) for p in ups]
+    local_down = [down._local(p) for p in downs][::-1]
+    assert local_up == local_down
+    for p_up, p_down in zip(ups, downs[::-1]):
+        if _kind(up, p_up) == "generic":
+            pi = up._local(p_up)[0]
+            short_first = [up._branch(p_up, 5), up._branch(p_up, 30)]
+            long_first = [down._branch(p_down, 30), down._branch(p_down, 5)][::-1]
+            assert short_first == long_first, p_up
+            assert short_first[1] % pi ** 5 == short_first[0], p_up
 
 
 def _horner(coeffs, F, x):
@@ -599,7 +627,7 @@ def test_principal_divisors_have_degree_zero():
 
 def test_eval_at_removable_singularity():
     # (m * x)/m and (m * y)/m look singular on the places over m's roots but
-    # are regular there; evaluation must resolve them through expansions
+    # are regular there; evaluation must divide the numerator by m exactly
     from curvemul.gf import Polynomial, prime_field
     from curvemul.function_field import CurveFunction
     F5 = prime_field(5)

@@ -198,6 +198,20 @@ def test_polynomial_power_rejects_negative_exponents():
         p ** -1  # used to square the base forever
 
 
+def test_polynomial_equals_int_as_constant_mod_p():
+    # an int k is the constant polynomial k mod p, as FieldElement == k is
+    # the index k mod p
+    x = Polynomial(F4, [0, 1])
+    assert Polynomial(F4, [1]) == 1 and F4.one() == 1
+    assert Polynomial(F4, [1]) == 3 and Polynomial(F4, [1]) == -1
+    assert Polynomial(F4, []) == 0 and Polynomial(F4, []) == 2
+    assert Polynomial(F9, [2]) == 5 and Polynomial(F9, [2]) != 1
+    t = Polynomial(F4, [F4.from_index(2)])
+    assert t != 0 and t != 2 and t != 1  # the element of index 2 is no integer's image
+    assert x != 0 and x != 1 and (x + 1) ** 0 == 1
+    assert Polynomial(F4, [1]) != "1" and Polynomial(F4, [1]) != Polynomial(F2, [1])
+
+
 def test_polynomial_eval_in_extension():
     pi = find_irreducible(F2, 2)
     root = next(x for x in F4 if not pi(x))
@@ -210,6 +224,15 @@ def test_element_encoding_round_trip():
         for x in F:
             assert decode_element(F, x.encode()) == x
             assert F.from_index(x.index) == x
+
+
+def test_decode_element_rejects_bools():
+    # JSON writes a bool as true/false, so a bool is no element encoding
+    for F, data in ((F2, True), (F2, False), (F3, True), (F4, [True, 0]),
+                    (F4, [0, False]), (F16, [[1, 0], [0, True]])):
+        with pytest.raises(ValueError):
+            decode_element(F, data)
+    assert decode_element(F2, 1).encode() == 1 and type(decode_element(F2, 1).encode()) is int
 
 
 def test_irreducibles_stream_matches_enumeration():

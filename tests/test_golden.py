@@ -4,7 +4,9 @@ certificates, pinned byte for byte.
 Refactors must not change what curvemul writes.  The files under
 tests/golden/ were recorded before the element-representation refactor
 (`curves_q8_min13.txt` before N2 came from the zeta function,
-`bound_depth3_wide.txt` before best_bound stopped at the rank floor) with
+`bound_depth3_wide.txt` before best_bound stopped at the rank floor,
+`formula_9_7_n1_16_case1.json` before genus-1 local conditions became
+congruences over F_q[x]) with
 `PYTHONPATH=src python tests/test_golden.py`.  The recorder writes only the
 files that are missing: an existing file whose content differs is left as it
 is, named on stderr, and the exit code is 1, so adding a file never re-records
@@ -14,6 +16,7 @@ a pinned output.  The test recomputes every output and compares bytes.
 import contextlib
 import io
 import os
+import subprocess
 import sys
 import tempfile
 import time
@@ -56,6 +59,14 @@ def _genus1_16_6():
     return ccma.construct_case1(16, 6, EllipticCurve(F16, 0, 0, 1, 0, 8))
 
 
+def _genus1_9_7():
+    """Genus-1 case 1 over F_9 at n = 7 on y^2 = x^3 + x (N1 = 16).  Its Q
+    is the flip of D's degree-7 place, so every L(2D) value at Q is taken
+    where the denominator vanishes."""
+    F9 = canonical_extension(prime_field(3), 2)
+    return ccma.construct_case1(9, 7, EllipticCurve(F9, 0, 0, 0, 1, 0))
+
+
 def _bounds(cells):
     return "".join(_cli("bound", "--q", str(q), "--n", str(n), "--depth", "3") for q, n in cells)
 
@@ -70,6 +81,7 @@ def golden_outputs():
         "formula_16_4_g0_case1.json": ccma.construct_case1(16, 4),
         "formula_4_4_n1_9_case1.json": ccma.construct_case1(4, 4, curve),
         "formula_16_6_n1_25_case1.json": _genus1_16_6(),
+        "formula_9_7_n1_16_case1.json": _genus1_9_7(),
         "formula_2_3_g0_case3.json": ccma.construct_case3(2, 3),
         "formula_compose_2_2_4_2.json": ccma.compose(ccma.construct_case1(2, 2),
                                                      ccma.construct_case1(4, 2)),
@@ -121,6 +133,29 @@ def test_genus1_formula_above_point_budget():
     assert ccma.verify(formula, "tensor").passed
     with open(os.path.join(GOLDEN, "formula_16_6_n1_25_case1.json"), newline="") as fh:
         assert _formula_file(formula) == fh.read()
+
+
+COLD_9_7 = """
+import sys, time
+sys.path.insert(0, sys.argv[1])
+from test_golden import _genus1_9_7
+t0 = time.perf_counter()
+formula = _genus1_9_7()
+print(time.perf_counter() - t0, formula.rank)
+"""
+
+
+def test_genus1_odd_formula_at_a_flip_place_budget():
+    # from cold, in a fresh interpreter: no table or place scan is shared
+    # with the tests that ran before
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ccma.__file__)))
+    done = subprocess.run([sys.executable, "-c", COLD_9_7, os.path.dirname(GOLDEN)],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    elapsed, rank = done.stdout.split()
+    assert rank == "14"
+    assert float(elapsed) < 0.6, "construct_case1(9, 7) on y^2 = x^3 + x took %ss" % elapsed
 
 
 def test_recorder_writes_only_missing_files(tmp_path, capsys):
