@@ -277,18 +277,75 @@ def is_irreducible_raw(F, coeffs):
     fields", SIAM J. Comput. 1980): f of degree d is irreducible iff
     gcd(x^(q^k) - x, f) = 1 for all k <= d/2, since any proper factorization
     contains a factor of degree <= d/2.  No randomness.
+
+    For a monic f over a characteristic-2 field of at most 256 elements
+    whose exp/log tables exist (F_2 always), the same steps run on index
+    lists in _rabin_char2; elsewhere they run on the generic polynomial
+    helpers.  _irreducible_scan sieves out candidates with a root first.
     """
     d = len(coeffs) - 1
     if d <= 0:
         return False
     if d == 1:
         return True
+    logs = _char2_logs(F)
+    if logs and coeffs[-1] == 1:
+        return _rabin_char2(coeffs, F.degree, *logs)
     x = [0, F.one_index]
     q = F.size
     cur = list(x)
     for _ in range(d // 2):
         cur = _ppowmod(F, cur, q, coeffs)
         if len(_pgcd(F, _psub(F, cur, x), coeffs)) != 1:
+            return False
+    return True
+
+
+def _char2_logs(F):
+    """(exp, log) of a characteristic-2 field of at most 256 elements whose
+    tables exist, else None.  Never builds them: ExtensionField.__init__
+    validates its modulus through is_irreducible_raw."""
+    if F.char != 2 or F.size > 256:
+        return None
+    if F.base is None:
+        return F.log_tables()
+    return None if F._log is None else (F._exp, F._log)
+
+
+def _rabin_char2(f, s, exp, log):
+    """Rabin's test of the monic f (degree d >= 2) over F_(2^s) on index
+    lists: addition is XOR, a product is one exp/log lookup.  x -> x^q mod f
+    is s squarings, each putting c^2 = exp[2 log c] at the even slots and
+    reducing by f's coefficient logs."""
+    d, m = len(f) - 1, len(exp) // 2
+    taps = [(i, log[c]) for i, c in enumerate(f[:d]) if c]
+    cur = [0, 1] + [0] * (d - 2)
+    for _ in range(d // 2):
+        for _ in range(s):
+            sq = [0] * (2 * d - 1)
+            for i, c in enumerate(cur):
+                if c:
+                    sq[2 * i] = exp[2 * log[c]]
+            for k in range(2 * d - 2, d - 1, -1):
+                c = sq[k]
+                if c:
+                    lc, j = log[c], k - d
+                    for i, lf in taps:
+                        sq[j + i] ^= exp[lc + lf]
+            cur = sq[:d]
+        # Euclid on (f, x^(q^k) - x); coprime iff it ends at a constant
+        a, b = list(f), _ptrim([cur[0], cur[1] ^ 1] + cur[2:])
+        while len(b) > 1:
+            lb, db = log[b[-1]], len(b) - 1
+            btaps = [(i, log[c]) for i, c in enumerate(b[:db]) if c]
+            while len(a) > db:
+                c = a.pop()
+                if c:
+                    lc, k = (log[c] - lb) % m, len(a) - db
+                    for i, l in btaps:
+                        a[k + i] ^= exp[lc + l]
+            a, b = b, _ptrim(a)
+        if not b:
             return False
     return True
 
@@ -892,7 +949,14 @@ class FieldElement:
     raw value (int or coefficient tuple) goes through `field.element`.
 
     Supports +, -, *, /, ** through the field's index ops, and integer
-    coercion of the other operand (k is the index k mod p).
+    coercion of the other operand (k is the index k mod p).  So an element
+    compares equal to the int k when its index is k mod p, but it does not
+    hash like k (k and k + p would have to hash alike): elements and ints
+    must not share a set or dict key space.
+
+    >>> F4 = canonical_field(4)
+    >>> F4.one() == 1, F4.one() == 3, F4.one() in {1}
+    (True, True, False)
     """
 
     __slots__ = ("field", "index")
@@ -1027,7 +1091,16 @@ def lift(x):
 # ---------------------------------------------------------------------------
 
 class Polynomial:
-    """A polynomial over a finite field; coefficients low-degree first."""
+    """A polynomial over a finite field; coefficients low-degree first.
+
+    A constant polynomial compares equal to the int k when it is the
+    constant k mod p, but does not hash like k, so polynomials and ints must
+    not share a set or dict key space.
+
+    >>> p = Polynomial(canonical_field(4), [1])
+    >>> p == 1, p == 0, p in {1}
+    (True, False, False)
+    """
 
     __slots__ = ("field", "coeffs")
 
@@ -1210,10 +1283,43 @@ def _irreducible_replay(F, degree):
 
 
 def _irreducible_scan(F, degree):
-    for k in range(F.size ** degree):
-        cand = _raw_from_int(F, k, degree) + [F.one_index]
-        if is_irreducible_raw(F, cand):
-            yield tuple(cand)
+    """The candidates in encoding order, in blocks of |F| that differ only in
+    c0.  Above degree 1, f = g + c0 has the root a exactly when
+    c0 = -g(a), which proves f reducible, so those c0 are skipped after one
+    evaluation of g per a; Rabin's test alone accepts a candidate.  The
+    evaluations cost about as much as q / (d^2 log q) tests, so the first
+    `spare` constants of a block are tested before the rest are sieved: a
+    short scan over a wide field costs no more than testing."""
+    q = F.size
+    spare = q // (degree * degree * q.bit_length()) if degree > 1 else q
+    for high in range(q ** (degree - 1)):
+        cand, rooted = [0] + _raw_from_int(F, high, degree - 1) + [F.one_index], ()
+        for c0 in range(q):
+            if c0 == spare:
+                rooted = _root_constants(F, [0] + cand[1:])
+            if c0 not in rooted:
+                cand[0] = c0
+                if is_irreducible_raw(F, cand):
+                    yield tuple(cand)
+
+
+def _root_constants(F, g):
+    """{-g(a) : a in F} for g with g(0) = 0, in characteristic 2 by Horner
+    on exp/log lookups, where -g(a) = g(a)."""
+    logs = _char2_logs(F)
+    if not logs:
+        neg = F.neg
+        return {neg(_peval(F, g, a)) for a in range(F.size)}
+    exp, log = logs
+    out, top = {0}, g[::-1]
+    for a in range(1, F.size):
+        la, acc = log[a], 0
+        for c in top:
+            if acc:
+                acc = exp[log[acc] + la]
+            acc ^= c
+        out.add(acc)
+    return out
 
 
 def find_irreducible(field, degree):

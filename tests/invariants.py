@@ -4,8 +4,10 @@ The oracles here deliberately avoid the code paths they certify: dimensions
 come from the Riemann-Roch formula, point counts are cross-checked through
 the Weil trace recursion, independence is established by evaluation-
 matrix rank rather than by the kernel construction that produced the basis,
-and orders and values at places come from truncated power series in a local
-parameter (the library works with congruences over F_q[x] instead).
+irreducibles are what is left after striking out every product of lower
+degrees, and orders and values at places come from truncated power series
+in a local parameter (the library works with congruences over F_q[x]
+instead).
 """
 
 import math
@@ -49,14 +51,30 @@ def rank(field, rows):
 
 
 def irreducible_list(field, degree):
-    """The monic irreducibles of the given degree in encoding order, by
-    enumeration."""
-    out = []
-    for k in range(field.size ** degree):
-        cand = gf._raw_from_int(field, k, degree) + [field.one_index]
-        if gf.is_irreducible_raw(field, cand):
-            out.append(tuple(cand))
-    return out
+    """The monic irreducibles of the given degree in encoding order, by a
+    sieve of Eratosthenes over F[x]: every product of two monic polynomials
+    of degrees e and degree - e, 1 <= e <= degree / 2, is struck out.  No
+    gcd, no root and no Frobenius: nothing of gf's irreducibility test."""
+    q, one = field.size, field.one_index
+    add, mul = field.add, field.mul
+
+    def monics(e):
+        return [gf._raw_from_int(field, k, e) + [one] for k in range(q ** e)]
+
+    reducible = set()
+    for e in range(1, degree // 2 + 1):
+        right = monics(degree - e)
+        for a in monics(e):
+            for b in right:
+                prod = [0] * degree  # the monic x^degree term is implied
+                for i, x in enumerate(a):
+                    if x:
+                        for j, y in enumerate(b[:degree - i]):
+                            if y:
+                                prod[i + j] = add(prod[i + j], mul(x, y))
+                reducible.add(sum(c * q ** i for i, c in enumerate(prod)))
+    return [tuple(gf._raw_from_int(field, k, degree) + [one])
+            for k in range(q ** degree) if k not in reducible]
 
 
 def count_irreducibles(field, degree):

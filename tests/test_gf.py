@@ -1,3 +1,4 @@
+import doctest
 import random
 
 import pytest
@@ -286,7 +287,7 @@ def test_interrupted_irreducible_scan_never_lists_fewer(monkeypatch):
 
     def interrupted(field, cand):
         tested.append(cand)
-        if len(tested) == 5:
+        if len(tested) == 2:  # the root sieve leaves 3 full tests at degree 2
             raise KeyboardInterrupt
         return is_irreducible_raw(field, cand)
     monkeypatch.setattr(gf, "is_irreducible_raw", interrupted)
@@ -300,6 +301,72 @@ def test_interrupted_irreducible_scan_never_lists_fewer(monkeypatch):
     except RuntimeError:
         return
     assert listed == want
+
+
+def test_char2_kernel_matches_generic_rabin(monkeypatch):
+    # the exp/log kernel and the generic helpers run the same steps, so they
+    # agree on every candidate; seeded random monic candidates, with their
+    # products of two lower-degree ones to reach every early exit
+    rng = random.Random(17)
+    fields = (F2, F4, F16, canonical_extension(F2, 8))
+    cases = []
+    for F in fields:
+        if F.base is not None:
+            F.log_tables()
+        assert gf._char2_logs(F) is not None
+        for d in range(2, 9):
+            for _ in range(24):
+                cases.append((F, [rng.randrange(F.size) for _ in range(d)] + [1]))
+            for e in (1, d // 2):
+                a = [rng.randrange(F.size) for _ in range(e)] + [1]
+                b = [rng.randrange(F.size) for _ in range(d - e)] + [1]
+                cases.append((F, gf._pmul(F, a, b)))
+    ran, rabin_char2 = [], gf._rabin_char2
+    monkeypatch.setattr(gf, "_rabin_char2", lambda *a: ran.append(a) or rabin_char2(*a))
+    kernel = [gf.is_irreducible_raw(F, c) for F, c in cases]
+    assert len(ran) == len(cases)  # no silent fallback to the generic helpers
+    monkeypatch.setattr(gf, "_char2_logs", lambda F: None)
+    assert [gf.is_irreducible_raw(F, c) for F, c in cases] == kernel
+    assert 50 < sum(kernel) < len(cases) - 200
+
+
+def test_char2_kernel_never_builds_tables():
+    # ExtensionField.__init__ validates moduli through is_irreducible_raw, so
+    # asking for the kernel's tables must not build them
+    F = gf.ExtensionField(F2, (1, 1, 0, 0, 1))  # F_16, not interned: no ops yet
+    assert gf._char2_logs(F) is None and F._log is None
+    F.log_tables()
+    assert gf._char2_logs(F) == (F._exp, F._log)
+    assert gf._char2_logs(canonical_extension(prime_field(2), 9)) is None  # above 256
+    assert gf._char2_logs(F9) is None
+
+
+def test_sieved_stream_matches_product_sieve():
+    # fresh, uninterned fields: each stream is scanned here, from its first
+    # candidate, through the root sieve and Rabin's test
+    fields = ((gf.ExtensionField(F2, (1, 1, 1)), 4), (gf.ExtensionField(F2, (1, 1, 0, 1)), 4),
+              (gf.PrimeField(3), 3), (gf.ExtensionField(F3, (1, 0, 1)), 3))
+    for F, dmax in fields:
+        for d in range(1, dmax + 1):
+            assert list(gf.irreducibles(F, d)) == irreducible_list(F, d), (F, d)
+
+
+def test_find_irreducible_pinned_wide_fields():
+    # recorded before the root sieve and the characteristic-2 kernel existed;
+    # the first irreducibles sit behind 32802 and 66056 candidates
+    assert find_irreducible(canonical_extension(F2, 5), 8).coeffs == (2, 1, 0, 1, 0, 0, 0, 0, 1)
+    assert find_irreducible(canonical_extension(F2, 8), 4).coeffs == (8, 2, 1, 0, 1)
+
+
+def test_int_equality_does_not_share_keys():
+    # an element or a constant polynomial equals the int k as the constant
+    # k mod p, but hashes apart from it: the two must not share a key space
+    one, poly = F4.one(), Polynomial(F4, [1])
+    assert one == 1 and one == 3 and poly == 1 and F9.scalar(4) == 1
+    assert one not in {1} and poly not in {1}
+    result = doctest.testmod(gf)
+    if result.failed or not result.attempted:  # not an assert: CI also runs under -O
+        pytest.fail("gf doctests: %s" % (result,))
 
 
 def test_scalar_and_coercion():
