@@ -375,6 +375,19 @@ def _verify_exhaustive(formula):
     return VerificationReport(True, "exhaustive", size * size)
 
 
+def _below(rng, size):
+    """A draw of rng.randrange(size): CPython's own rejection loop on
+    getrandbits, without randrange's argument handling on every call."""
+    getrandbits, k = rng.getrandbits, size.bit_length()
+
+    def draw():
+        r = getrandbits(k)
+        while r >= size:
+            r = getrandbits(k)
+        return r
+    return draw
+
+
 def _verify_sampled(formula, pairs, seed):
     """`pairs` seeded random pairs, x = rng.randrange(q^n) and then y, pair
     after pair.  In characteristic 2, BLOCK pairs per pass by _sliced_check:
@@ -387,13 +400,13 @@ def _verify_sampled(formula, pairs, seed):
     size = E.size
     if E.char == 2:
         differ, bits = _sliced_check(formula), E.degree
-        draw, shift = rng.randrange, 8 * -(-bits // 8)
+        draw, shift = _below(rng, size), 8 * -(-bits // 8)
         width = shift // 4  # bytes per lane: x, then y in the low shift bits
         planes_of = [*range(shift, shift + bits), *range(bits)]
         for start in range(0, pairs, BLOCK):
             lanes = bytearray()
             for _ in range(min(BLOCK, pairs - start)):
-                lanes += (draw(size) << shift | draw(size)).to_bytes(width, "little")
+                lanes += (draw() << shift | draw()).to_bytes(width, "little")
             planes = gf.bit_planes(lanes, width, planes_of)
             if diff := differ(planes[:bits], planes[bits:]):
                 k = (diff & -diff).bit_length() - 1
@@ -402,10 +415,10 @@ def _verify_sampled(formula, pairs, seed):
                                           first_failure=divmod(pair, 1 << shift), seed=seed)
         return VerificationReport(True, "sampled", pairs, seed=seed)
     direct = E.direct_mul()
-    read, term_sum = _form_reader(formula), _term_sum(formula)
+    read, term_sum, draw = _form_reader(formula), _term_sum(formula), _below(rng, size)
     for k in range(pairs):
-        ix = rng.randrange(size)
-        iy = rng.randrange(size)
+        ix = draw()
+        iy = draw()
         if term_sum(read(ix), read(iy)) != direct(ix, iy):
             return VerificationReport(False, "sampled", k + 1, first_failure=(ix, iy), seed=seed)
     return VerificationReport(True, "sampled", pairs, seed=seed)

@@ -5,7 +5,9 @@ degree, point counts as character sums over the x-line, exhaustive point
 counting (the oracle), point counts over every F_(q^k) from N1 through the
 zeta function, a principality test through the elliptic group law, and a
 searchable catalog of curves with (N1, N2) data: N1 a character sum, N2 from
-the zeta function.
+the zeta function.  The catalog sweeps Weierstrass tuples as raw indices,
+the discriminant and the sum's invariants taken once per (a1, a2, a3, a4)
+prefix, and builds a curve only for an entry it returns.
 
 Conventions fixed once so that every run reproduces the same objects:
 
@@ -30,6 +32,7 @@ Conventions fixed once so that every run reproduces the same objects:
 """
 
 import functools
+import itertools
 import math
 
 from . import gf, linalg
@@ -139,24 +142,35 @@ def _char_sum(R, b2, b4, b6):
 
 
 @functools.cache
-def _trace_row(R, a1, a3):
-    """For each x with h = a1 x + a3 != 0 in turn, the mask M of x with
-    Tr(f(x)/h^2) = parity(v & M), v = a2 | a4 << s | a6 << 2s | 1 << 3s over
-    the s index bits of R: the masks of x^2/h^2, x/h^2 and 1/h^2, and the
-    bit Tr(x^3/h^2)."""
+def _trace_columns(R, a1, a3):
+    """(n, cols) with Tr(f(x)/h^2) = bit i of the XOR of cols[j] over the
+    bits j of v = a2 | a4 << s | a6 << 2s | 1 << 3s, for the i-th x with
+    h = a1 x + a3 != 0 (n of them), over the s index bits of R.  Row i, the
+    masks of x^2/h^2, x/h^2 and 1/h^2 and the bit Tr(x^3/h^2), is read
+    down its w = 3s + 1 binary digits into the columns."""
     add, mul, inv, s = R.add, R.mul, R.inv, R.degree
-    form = _trace_form(R)
+    form, w = _trace_form(R), 3 * s + 1
+    spec = "0%db" % w  # w binary digits, most significant first
     row = []
     for x in range(R.size):
         h = add(mul(a1, x), a3)
         if h:
-            w = inv(mul(h, h))
-            c1 = mul(x, w)
+            u = inv(mul(h, h))
+            c1 = mul(x, u)
             c2 = mul(x, c1)
-            row.append(_trace_mask(form, c2) | _trace_mask(form, c1) << s
-                       | _trace_mask(form, w) << 2 * s
-                       | ((mul(x, c2) & form[0]).bit_count() & 1) << 3 * s)
-    return row
+            row.append(format(_trace_mask(form, c2) | _trace_mask(form, c1) << s
+                              | _trace_mask(form, u) << 2 * s
+                              | ((mul(x, c2) & form[0]).bit_count() & 1) << 3 * s, spec))
+    digits = "".join(row)
+    return len(row), [int("0" + digits[w - 1 - j::w][::-1], 2) for j in range(w)]
+
+
+def _span(cols):
+    """[XOR of cols[j] over the bits j of a, for a < 2^len(cols)]."""
+    out = [0]
+    for c in cols:
+        out += [u ^ c for u in out]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -568,7 +582,7 @@ class EllipticCurve:
                 if v.field is not field:
                     raise gf.LevelMismatchError("coefficient from the wrong field")
                 idx.append(v.index)
-            elif isinstance(v, int) and 0 <= v < field.size:
+            elif type(v) is int and 0 <= v < field.size:  # not bool
                 idx.append(v)  # ints are canonical element indices
             else:
                 raise ValueError("bad Weierstrass coefficient %r" % (v,))
@@ -643,19 +657,18 @@ class EllipticCurve:
         points.  In odd characteristic eps(x) = chi(4x^3 + b2 x^2 + 2b4 x +
         b6), so the sum is memoised per (b2, b4, b6).  In characteristic 2,
         eps(x) is 0 where h(x) = a1 x + a3 vanishes and (-1)^Tr(f(x)/h(x)^2)
-        elsewhere; the trace is linear in (a2, a4, a6), so each x keeps one
-        mask per (a1, a3) and a curve costs one AND per x.  `points` is the
-        enumerative oracle."""
+        elsewhere; the trace is linear in (a2, a4, a6), so the signs over
+        every x are one XOR of the columns of (a1, a3) that the coefficients'
+        bits select.  `points` is the enumerative oracle."""
         R = canonical_extension(self.field, k)
         if R.size > SCAN_LIMIT:
             raise BudgetExceededError("point budget exceeded")
         if R.char == 2:
             a1, a2, a3, a4, a6 = self.a
-            row = _trace_row(R, a1, a3)
+            n, cols = _trace_columns(R, a1, a3)
             s = R.degree
-            v = a2 | a4 << s | a6 << 2 * s | 1 << 3 * s
-            odd = sum((v & m).bit_count() & 1 for m in row)
-            return 1 + R.size + len(row) - 2 * odd
+            odd = _trace_mask(cols, a2 | a4 << s | a6 << 2 * s | 1 << 3 * s).bit_count()
+            return 1 + R.size + n - 2 * odd
         b2, b4, b6, _ = self.b_invariants()
         return 1 + R.size + _char_sum(R, b2, b4, b6)
 
@@ -969,43 +982,64 @@ def weil_counts(q, n1, kmax):
     return [q ** k + 1 - s[k] for k in range(1, kmax + 1)]
 
 
-def _weierstrass_family(F):
-    """Deterministic iterator of (a1,..,a6) index tuples; the full q^5 sweep
-    when small, else normal-form families covering every isomorphism class."""
-    q = F.size
+def _prefixes(F):
+    """Deterministic iterator of (a1, a2, a3, a4) index tuples, to each of
+    which every a6 in F_q is appended: the full q^5 sweep when small, else
+    normal-form families covering every isomorphism class."""
+    q, p = F.size, F.char
     if q ** 5 <= (1 << 15):
-        for a1 in range(q):
-            for a2 in range(q):
-                for a3 in range(q):
-                    for a4 in range(q):
-                        for a6 in range(q):
-                            yield (a1, a2, a3, a4, a6)
-        return
-    p = F.char
-    if p == 2:
-        for a2 in range(q):          # ordinary: y^2 + xy = x^3 + a2 x^2 + a6
-            for a6 in range(q):
-                yield (F.one_index, a2, 0, 0, a6)
-        for a3 in range(1, q):       # supersingular: y^2 + a3 y = x^3 + a4 x + a6
-            for a4 in range(q):
-                for a6 in range(q):
-                    yield (0, 0, a3, a4, a6)
-    elif p == 3:
-        for a2 in range(q):
-            for a4 in range(q):
-                for a6 in range(q):
-                    yield (0, a2, 0, a4, a6)
-    else:
-        for a4 in range(q):
-            for a6 in range(q):
-                yield (0, 0, 0, a4, a6)
+        return itertools.product(range(q), repeat=4)
+    if p == 2:  # ordinary y^2 + xy = x^3 + a2 x^2 + a6, then y^2 + a3 y = x^3 + a4 x + a6
+        return itertools.chain(((F.one_index, a2, 0, 0) for a2 in range(q)),
+                               ((0, 0, a3, a4) for a3 in range(1, q) for a4 in range(q)))
+    if p == 3:
+        return ((0, a2, 0, a4) for a2 in range(q) for a4 in range(q))
+    return ((0, 0, 0, a4) for a4 in range(q))
 
 
-def _try_curve(F, coeffs):
-    try:
-        return EllipticCurve(F, *coeffs)
-    except ValueError:
-        return None
+def _curve(F, a):
+    """The curve on the index tuple a without __init__'s checks: the caller
+    has found its discriminant nonzero, or reads only its invariants."""
+    E = object.__new__(EllipticCurve)
+    E.field, E.a = F, a
+    return E
+
+
+def _sweep(F):
+    """(coeffs, N1) for the nonsingular tuples of the Weierstrass family, in
+    its order.  Per prefix (a1, .., a4), with b2, b4, b6(0) = a3^2 and
+    b8(0) = c8 those of a6 = 0, b6 = a3^2 + 4 a6 and b8 = b2 a6 + c8 turn
+    the discriminant 9 b2 b4 b6 - b2^2 b8 - 8 b4^3 - 27 b6^2 into
+    -432 a6^2 + (36 b2 b4 - 216 a3^2 - b2^3) a6 + c0, c0 its value at
+    a6 = 0, so a tuple costs a Horner step or two.  N1 is point_count's
+    character sum: in odd characteristic through the same memo; in
+    characteristic 2 the columns of (a1, a3) are spanned into tables over
+    a2, a4 and a6, one XOR per curve."""
+    q, p, add, sub, mul = F.size, F.char, F.add, F.sub, F.mul
+    four, quad = [_scaled(F, 4, a) for a in range(q)], [_scaled(F, -432, a) for a in range(q)]
+    tables = {}
+    for prefix in _prefixes(F):
+        a1, a2, a3, a4 = prefix
+        b2, b4, a33, c8 = _curve(F, prefix + (0,)).b_invariants()
+        b22, b24 = mul(b2, b2), mul(b2, b4)
+        c0 = sub(sub(_scaled(F, 9, mul(b24, a33)), mul(b22, c8)),
+                 add(_scaled(F, 8, mul(b4, mul(b4, b4))), _scaled(F, 27, mul(a33, a33))))
+        c1 = sub(_scaled(F, 36, b24), add(mul(b22, b2), _scaled(F, 216, a33)))
+        if p != 2:
+            for a6 in range(q):
+                if add(mul(add(quad[a6], c1), a6), c0):
+                    yield prefix + (a6,), 1 + q + _char_sum(F, b2, b4, add(a33, four[a6]))
+            continue
+        if (a1, a3) not in tables:
+            n, cols = _trace_columns(F, a1, a3)
+            s = F.degree
+            tables[a1, a3] = (1 + q + n, _span(cols[:s]), _span(cols[s:2 * s]),
+                              [u ^ cols[3 * s] for u in _span(cols[2 * s:3 * s])])
+        base, t2, t4, t6 = tables[a1, a3]
+        t = t2[a2] ^ t4[a4]
+        for a6 in range(q):
+            if mul(c1, a6) != c0:  # c1 a6 + c0 = 0 in characteristic 2
+                yield prefix + (a6,), base - 2 * (t ^ t6[a6]).bit_count()
 
 
 def curve_search(field, min_n1):
@@ -1015,16 +1049,9 @@ def curve_search(field, min_n1):
     q = field.size
     if q > CATALOG_Q_LIMIT:
         raise BudgetExceededError("curve search supports q <= %d" % CATALOG_Q_LIMIT)
-    found = []
-    for coeffs in _weierstrass_family(field):
-        E = _try_curve(field, coeffs)
-        if E is None:
-            continue
-        n1 = E.point_count(1)
-        if n1 >= min_n1:
-            found.append((coeffs, E, n1))
-    found.sort(key=lambda t: (-t[2], t[0]))
-    return [CatalogEntry(E, n1) for _, E, n1 in found]
+    found = [(coeffs, n1) for coeffs, n1 in _sweep(field) if n1 >= min_n1]
+    found.sort(key=lambda t: (-t[1], t[0]))
+    return [CatalogEntry(_curve(field, coeffs), n1) for coeffs, n1 in found]
 
 
 @functools.cache
@@ -1037,21 +1064,17 @@ def best_stat_curves(field):
     if q > CATALOG_Q_LIMIT:
         raise BudgetExceededError("curve search supports q <= %d" % CATALOG_Q_LIMIT)
     hmax = hasse_weil_max(q)
-    best_n1 = None       # (n1, coeffs, curve, n1)
-    best_flat = None     # (|t|, coeffs, curve, n1)
-    for coeffs in _weierstrass_family(field):
-        E = _try_curve(field, coeffs)
-        if E is None:
-            continue
-        n1 = E.point_count(1)
+    best_n1 = None       # (n1, coeffs, n1)
+    best_flat = None     # (|t|, coeffs, n1)
+    for coeffs, n1 in _sweep(field):
         t = abs(q + 1 - n1)
         if best_n1 is None or n1 > best_n1[0]:
-            best_n1 = (n1, coeffs, E, n1)
+            best_n1 = (n1, coeffs, n1)
         if best_flat is None or t < best_flat[0]:
-            best_flat = (t, coeffs, E, n1)
+            best_flat = (t, coeffs, n1)
         if best_n1[0] == hmax and best_flat[0] == 0:
             break
-    return [CatalogEntry(E, n1) for _, _, E, n1 in (best_n1, best_flat)]
+    return [CatalogEntry(_curve(field, coeffs), n1) for _, coeffs, n1 in (best_n1, best_flat)]
 
 
 def catalog_rows(entries):

@@ -13,7 +13,7 @@ instead).
 import math
 
 from curvemul import gf, linalg
-from curvemul.function_field import Divisor, PoleEvaluationError, _place_root
+from curvemul.function_field import Divisor, EllipticCurve, PoleEvaluationError, _place_root
 
 
 # Matrix helpers only the tests need; the library itself solves and reduces.
@@ -146,6 +146,74 @@ def check_hasse(entries, q):
         n1_sq = e.n1 + 2 * e.n2
         assert abs(n1_sq - (q * q + 1)) <= math.isqrt(4 * q * q), (e.curve.a, n1_sq)
     return len(entries)
+
+
+# The catalogue sweep one curve at a time, as the library ran it before its
+# discriminant and point count were taken per (a1, a2, a3, a4) prefix: the
+# public constructor, whose ValueError means singular, then point_count(1).
+
+def weierstrass_family(F):
+    """(a1, a2, a3, a4, a6) index tuples in the catalogue's order: the full
+    q^5 sweep when q^5 <= 2^15, else the normal forms covering every
+    isomorphism class."""
+    q, p = F.size, F.char
+    if q ** 5 <= (1 << 15):
+        for a1 in range(q):
+            for a2 in range(q):
+                for a3 in range(q):
+                    for a4 in range(q):
+                        for a6 in range(q):
+                            yield (a1, a2, a3, a4, a6)
+    elif p == 2:
+        for a2 in range(q):          # ordinary: y^2 + xy = x^3 + a2 x^2 + a6
+            for a6 in range(q):
+                yield (F.one_index, a2, 0, 0, a6)
+        for a3 in range(1, q):       # supersingular: y^2 + a3 y = x^3 + a4 x + a6
+            for a4 in range(q):
+                for a6 in range(q):
+                    yield (0, 0, a3, a4, a6)
+    elif p == 3:
+        for a2 in range(q):
+            for a4 in range(q):
+                for a6 in range(q):
+                    yield (0, a2, 0, a4, a6)
+    else:
+        for a4 in range(q):
+            for a6 in range(q):
+                yield (0, 0, 0, a4, a6)
+
+
+def nonsingular_curves(F, family):
+    """The curve of each tuple that the public constructor accepts."""
+    for coeffs in family:
+        try:
+            yield EllipticCurve(F, *coeffs)
+        except ValueError:
+            continue
+
+
+def sweep_reference(F, family=None):
+    """(coeffs, N1) for each nonsingular tuple of the family (by default
+    the catalogue's), in its order."""
+    for E in nonsingular_curves(F, weierstrass_family(F) if family is None else family):
+        yield E.a, E.point_count(1)
+
+
+def best_stat_reference(F):
+    """[(coeffs, N1)] of the first maximal N1 and of the first minimal
+    |q + 1 - N1| in catalogue order, the scan stopping once both reach
+    their bounds."""
+    q = F.size
+    hmax = q + 1 + math.isqrt(4 * q)
+    best_n1 = best_flat = None
+    for coeffs, n1 in sweep_reference(F):
+        if best_n1 is None or n1 > best_n1[1]:
+            best_n1 = (coeffs, n1)
+        if best_flat is None or abs(q + 1 - n1) < abs(q + 1 - best_flat[1]):
+            best_flat = (coeffs, n1)
+        if best_n1[1] == hmax and best_flat[1] == q + 1:
+            break
+    return [best_n1, best_flat]
 
 
 def random_divisor(curve, rng, degree_range=(-2, 5), parts=3):

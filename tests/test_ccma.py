@@ -161,6 +161,15 @@ def _sampled_reference(formula, pairs, seed):
     return True, pairs, None
 
 
+@pytest.mark.parametrize("size", [1, 2, 3, 7, 3 ** 10, 2 ** 20, 16 ** 9, 256 ** 9])
+def test_sampled_draws_are_randrange(size):
+    # the sampled scan names its pairs by seed; if a Python release changes
+    # randrange, this fails instead of silently changing which pairs they are
+    for seed in range(6):
+        draw, rng = ccma._below(random.Random(seed), size), random.Random(seed)
+        assert [draw() for _ in range(200)] == [rng.randrange(size) for _ in range(200)]
+
+
 def _with_extra_term(f, form_index):
     """f plus the term (e_k*, 1) for k = form_index: wrong on a fraction of pairs."""
     Fq, E, n = f.tower.base_field, f.tower.ext_field, f.tower.n

@@ -18,7 +18,8 @@ from curvemul.function_field import (ProjectiveLine, EllipticCurve, Divisor, Pla
 from invariants import (check_place_partition, check_hasse, check_rr_random,
                         check_principality_agreement, check_eval_ring_hom,
                         verify_rr_basis, branch_reference, poly_on_series,
-                        oracle_ord, oracle_eval)
+                        oracle_ord, oracle_eval, weierstrass_family, nonsingular_curves,
+                        sweep_reference, best_stat_reference)
 
 F2 = prime_field(2)
 F3 = prime_field(3)
@@ -106,19 +107,18 @@ def test_point_count_vs_weil_recursion():
 
 def _sweep_curves(F, step=1):
     """Every step-th nonsingular curve of F's Weierstrass family."""
-    family = list(function_field._weierstrass_family(F))[::step]
-    return [E for E in (function_field._try_curve(F, c) for c in family) if E is not None]
+    return list(nonsingular_curves(F, list(weierstrass_family(F))[::step]))
 
 
 def _clear_point_count_memos():
     function_field._char_sum.cache_clear()
-    function_field._trace_row.cache_clear()
+    function_field._trace_columns.cache_clear()
 
 
 def _assert_point_count_memos_within(q, fields):
-    # at most q^3 character sums and q^2 trace rows per field counted over
+    # at most q^3 character sums and q^2 trace column sets per field counted over
     assert function_field._char_sum.cache_info().currsize <= fields * q ** 3
-    assert function_field._trace_row.cache_info().currsize <= fields * q ** 2
+    assert function_field._trace_columns.cache_info().currsize <= fields * q ** 2
 
 
 def test_point_count_matches_enumeration():
@@ -157,7 +157,7 @@ def test_invariants_match_full_expressions():
     # constants that vanish or are 1 mod p changes no value
     for p, d in ((2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3)):
         F = canonical_extension(prime_field(p), d)
-        for a in function_field._weierstrass_family(F):
+        for a in weierstrass_family(F):
             E = object.__new__(EllipticCurve)
             E.field, E.a = F, a
             assert (E.b_invariants(), E.discriminant()) == _invariants_reference(F, a), (F, a)
@@ -168,7 +168,7 @@ def test_point_count_matches_enumeration_normal_forms(p, d):
     # F_9, F_16, F_25, F_27, F_32, F_49 and F_64: a deterministic spread of
     # about 40 curves of each normal-form family
     F = canonical_extension(prime_field(p), d)
-    family = list(function_field._weierstrass_family(F))
+    family = list(weierstrass_family(F))
     curves = _sweep_curves(F, max(1, len(family) // 40))
     assert len(curves) >= 30
     _clear_point_count_memos()
@@ -556,6 +556,52 @@ def test_best_stat_curves_are_two_distinct_curves():
             continue  # not a prime power
         a, b = best_stat_curves(F)
         assert a.curve is not b.curve and a.curve.a != b.curve.a, q
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 32, 49])
+def test_sweep_matches_one_curve_at_a_time(q):
+    # the per-prefix discriminant and N1 against the public constructor and
+    # point_count on every tuple of the full sweeps (q <= 8) and of the
+    # normal-form families: the same N1, no singular tuple, the family's order
+    F = gf.canonical_field(q)
+    reference = list(sweep_reference(F))
+    assert list(function_field._sweep(F)) == reference
+    entries = curve_search(F, 0)
+    assert [(e.curve.a, e.n1) for e in entries] == sorted(reference, key=lambda t: (-t[1], t[0]))
+    assert all(e.curve.discriminant() != 0 for e in entries)
+
+
+def test_sweep_matches_one_curve_at_a_time_spread_64():
+    # the whole ordinary family (its a6 = 0 tuples are singular) and a seeded
+    # spread of the supersingular one; the sweep keeps the family's order
+    F = gf.canonical_field(64)
+    swept = dict(function_field._sweep(F))
+    family = list(weierstrass_family(F))
+    position = {c: i for i, c in enumerate(family)}
+    order = [position[c] for c in swept]
+    assert order == sorted(order)
+    sample = family[:64 * 64] + random.Random(64).sample(family[64 * 64:], 2000)
+    reference = dict(sweep_reference(F, sample))
+    assert len(reference) == len(sample) - 64
+    assert {c: swept.get(c) for c in sample} == {c: reference.get(c) for c in sample}
+
+
+def test_best_stat_curves_match_one_curve_at_a_time():
+    for q in range(2, function_field.CATALOG_Q_LIMIT + 1):
+        try:
+            F = gf.canonical_field(q)
+        except ValueError:
+            continue  # not a prime power
+        entries = best_stat_curves(F)
+        assert [(e.curve.a, e.n1) for e in entries] == best_stat_reference(F), q
+        assert all(e.curve.discriminant() != 0 for e in entries), q
+
+
+def test_weierstrass_coefficients_are_indices_or_elements():
+    assert EllipticCurve(F4, 0, 0, F4.element(1), 0, 0).a == (0, 0, 1, 0, 0)
+    for bad in (True, False, 4, -1, 1.0, "1"):
+        with pytest.raises(ValueError, match="bad Weierstrass coefficient"):
+            EllipticCurve(F4, 0, 0, bad, 0, 0)
 
 
 def test_catalog_rows_format():
