@@ -152,21 +152,18 @@ def verify(formula, mode="auto", pairs=DEFAULT_SAMPLES, seed=0):
     pairs e_j*e_k with j <= k.  Mode 'exhaustive' sweeps all q^(2n) pairs and
     refuses when q^n > 256; mode 'sampled' checks `pairs` seeded random
     pairs; 'auto' picks whichever of these two is affordable.  The scans are
-    independent cross-checks of the proof.  In characteristic 2 both check
-    BLOCK pairs per pass on bit planes (_sliced_check), against
-    gf.sliced_product, which reads only the two moduli.  In odd
-    characteristic they read the linear forms by table lookup over index
-    digits (_form_reader) and compare against E.mul (exhaustive) or
-    E.direct_mul, which reads none of E's tables (sampled).  Failures are
-    reported, not raised; a failure names a concrete pair (x, y) by element
-    indices, the first in the scan's order.
+    independent cross-checks of the proof, and one loop over the pair
+    numbers x*q^n + y (_verify_scan): in characteristic 2 on bit planes,
+    against gf.sliced_product, which reads only the two moduli; in odd
+    characteristic pair by pair, against E.mul (exhaustive) or
+    E.direct_mul (sampled).  Failures are reported, not raised; a failure
+    names a concrete pair (x, y) by element indices, the first in the
+    scan's order.
     """
     mode = verify_mode(formula.tower.ext_field.size, mode, pairs)
     if mode == "tensor":
         return _verify_tensor(formula)
-    if mode == "exhaustive":
-        return _verify_exhaustive(formula)
-    return _verify_sampled(formula, pairs, seed)
+    return _verify_scan(formula, mode, pairs, seed)
 
 
 def verify_mode(size, mode, pairs):
@@ -337,44 +334,6 @@ def _counting_planes(start, count, bits):
     return out
 
 
-def _verify_exhaustive(formula):
-    """All q^(2n) pairs in row-major order.  In characteristic 2, BLOCK
-    pairs per pass by _sliced_check: the pair number x*q^n + y holds the
-    bits of y below those of x, so a block's planes are those of its pair
-    numbers, counted up.  Otherwise row by row: y -> formula(x, y) is
-    F_p-linear in the digits of y, so row x is spanned from its columns
-    formula(x, p^j), row[y] = row[y - p^j] + col_j, and compared with
-    E.mul."""
-    E, p = formula.tower.ext_field, formula.tower.p
-    size = E.size
-    if p == 2:
-        differ, bits = _sliced_check(formula), E.degree
-        for start in range(0, size * size, BLOCK):
-            planes = _counting_planes(start, min(BLOCK, size * size - start), 2 * bits)
-            if diff := differ(planes[bits:], planes[:bits]):
-                k = start + (diff & -diff).bit_length() - 1
-                return VerificationReport(False, "exhaustive", k + 1,
-                                          first_failure=divmod(k, size))
-        return VerificationReport(True, "exhaustive", size * size)
-    emul, add = E.mul, E.add
-    read, term_sum = _form_reader(formula), _term_sum(formula)
-    units = [read(p ** j) for j in range(E.degree)]
-    for ix in range(size):
-        sx = read(ix)
-        row = [0]
-        for su in units:
-            col = term_sum(sx, su)
-            seg = row
-            for _ in range(p - 1):
-                seg = [add(a, col) for a in seg]
-                row = row + seg
-        if row != [emul(ix, iy) for iy in range(size)]:
-            iy = next(iy for iy in range(size) if row[iy] != emul(ix, iy))
-            return VerificationReport(False, "exhaustive", ix * size + iy + 1,
-                                      first_failure=(ix, iy))
-    return VerificationReport(True, "exhaustive", size * size)
-
-
 def _below(rng, size):
     """A draw of rng.randrange(size): CPython's own rejection loop on
     getrandbits, without randrange's argument handling on every call."""
@@ -388,40 +347,58 @@ def _below(rng, size):
     return draw
 
 
-def _verify_sampled(formula, pairs, seed):
-    """`pairs` seeded random pairs, x = rng.randrange(q^n) and then y, pair
-    after pair.  In characteristic 2, BLOCK pairs per pass by _sliced_check:
-    a block's draws are packed into bytes, x above y in each lane, and cut
-    into planes by gf.bit_planes.  Otherwise the forms are read by
-    _form_reader and the right-hand side is E.direct_mul, vmul on the raw
-    values, which reads none of E's own tables."""
+def _verify_scan(formula, mode, pairs, seed):
+    """The 'exhaustive' and 'sampled' scans.  A pair (x, y) is its number
+    x*q^n + y: 'exhaustive' takes the numbers 0 .. q^(2n) - 1 in order,
+    'sampled' draws x = rng.randrange(q^n) and then y, pair after pair.  The
+    numbers go BLOCK at a time, and the report names the first wrong one.
+
+    In characteristic 2 a block is one pass of _sliced_check on the bit
+    planes of its numbers, whose low E.degree bits are y and whose high bits
+    are x: consecutive numbers are counted up (_counting_planes), and drawn
+    ones are packed into whole-byte lanes and cut by gf.bit_planes.
+    In odd characteristic the pairs go one by one through _form_reader and
+    _term_sum, against E.mul (exhaustive, which reads each element's forms
+    once up front) or E.direct_mul, which reads none of E's tables
+    (sampled)."""
     E = formula.tower.ext_field
-    rng = random.Random(seed)
     size = E.size
+    if mode == "exhaustive":
+        total, seed = size * size, None
+    else:
+        total, draw = pairs, _below(random.Random(seed), size)
     if E.char == 2:
         differ, bits = _sliced_check(formula), E.degree
-        draw, shift = _below(rng, size), 8 * -(-bits // 8)
-        width = shift // 4  # bytes per lane: x, then y in the low shift bits
-        planes_of = [*range(shift, shift + bits), *range(bits)]
-        for start in range(0, pairs, BLOCK):
-            lanes = bytearray()
-            for _ in range(min(BLOCK, pairs - start)):
-                lanes += (draw() << shift | draw()).to_bytes(width, "little")
-            planes = gf.bit_planes(lanes, width, planes_of)
-            if diff := differ(planes[:bits], planes[bits:]):
-                k = (diff & -diff).bit_length() - 1
-                pair = int.from_bytes(lanes[k * width:(k + 1) * width], "little")
-                return VerificationReport(False, "sampled", start + k + 1,
-                                          first_failure=divmod(pair, 1 << shift), seed=seed)
-        return VerificationReport(True, "sampled", pairs, seed=seed)
-    direct = E.direct_mul()
-    read, term_sum, draw = _form_reader(formula), _term_sum(formula), _below(rng, size)
-    for k in range(pairs):
-        ix = draw()
-        iy = draw()
-        if term_sum(read(ix), read(iy)) != direct(ix, iy):
-            return VerificationReport(False, "sampled", k + 1, first_failure=(ix, iy), seed=seed)
-    return VerificationReport(True, "sampled", pairs, seed=seed)
+        width = -(-bits // 4)  # bytes per lane of 2*bits bits
+
+        def first_wrong(block):
+            if mode == "exhaustive":
+                planes = _counting_planes(block.start, len(block), 2 * bits)
+            else:
+                lanes = b"".join([v.to_bytes(width, "little") for v in block])
+                planes = gf.bit_planes(lanes, width, range(2 * bits))
+            diff = differ(planes[bits:], planes[:bits])
+            return (diff & -diff).bit_length() - 1 if diff else None
+    else:
+        read, term_sum = _form_reader(formula), _term_sum(formula)
+        if mode == "exhaustive":
+            rhs, read = E.mul, list(map(read, range(size))).__getitem__
+        else:
+            rhs = E.direct_mul()
+
+        def first_wrong(block):
+            for k, v in enumerate(block):
+                x, y = divmod(v, size)
+                if term_sum(read(x), read(y)) != rhs(x, y):
+                    return k
+    for start in range(0, total, BLOCK):
+        count = min(BLOCK, total - start)
+        block = (range(start, start + count) if mode == "exhaustive"
+                 else [draw() * size + draw() for _ in range(count)])
+        if (k := first_wrong(block)) is not None:
+            return VerificationReport(False, mode, start + k + 1,
+                                      first_failure=divmod(block[k], size), seed=seed)
+    return VerificationReport(True, mode, total, seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -640,6 +617,7 @@ def _attempt(tower, curve, case, D, Q, space, dim2, ell_D, eval_degrees, quad):
 
     space = linalg.RowSpace(Fq, dim2)
     selected = []  # (place, rows2D, rowsLD)
+    flat_rows, pivot_rows = [], []  # the selected places' rows; those space accepted
     for d in eval_degrees:
         if space.rank == dim2:
             break
@@ -651,21 +629,17 @@ def _attempt(tower, curve, case, D, Q, space, dim2, ell_D, eval_degrees, quad):
             rows2 = _place_rows(L2D.functions, pl)
             if rows2 is None:
                 continue
-            gained = 0
-            for row in rows2:
-                if space.add(row):
-                    gained += 1
-            if gained == 0:
+            gained = [r for r, row in enumerate(rows2, len(flat_rows)) if space.add(row)]
+            if not gained:
                 continue
             rows1 = _place_rows(LD.functions, pl)
             if rows1 is None:
                 return None, None  # cannot happen: same pole support
             selected.append((pl, rows2, rows1))
+            flat_rows += rows2
+            pivot_rows += gained
     if space.rank < dim2:
         return None, space.rank
-    flat_rows = [row for _, rows2, _ in selected for row in rows2]
-    picker = linalg.RowSpace(Fq, dim2)
-    pivot_rows = [r for r, row in enumerate(flat_rows) if picker.add(row)]
     sub = [flat_rows[r] for r in pivot_rows]
     inv_sub = linalg.invert(Fq, sub)
     # gamma_r = sum_k Linv[k][r] * evQ2[k]; zero off the pivot rows

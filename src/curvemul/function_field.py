@@ -1078,7 +1078,7 @@ def best_stat_curves(field):
 
 
 def catalog_rows(entries):
-    """Delimited export: p, q, encoded coefficients, genus, N1, N2."""
+    """Delimited export: p, q, the coefficients as element indices, genus, N1, N2."""
     rows = []
     for e in entries:
         F = e.curve.field

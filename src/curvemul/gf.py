@@ -363,9 +363,10 @@ class _FieldBase:
     extensions).  Both views are exact and interchangeable.  Index ops are
     the fast path: prime fields compute them mod p, extension fields of at
     most TABLE_LIMIT elements look them up in exp/log (Zech) tables once
-    they have answered as many index ops as they have elements, and until
-    then, and in larger extension fields, index ops run on the value ops,
-    except products above TABLE_LIMIT in characteristic 2 (direct_mul).
+    they have answered as many index ops as they have elements.  Until
+    then, and in larger extension fields, products run on direct_mul (in
+    characteristic 2 a kernel on index digits) and the other index ops on
+    the value ops.
     """
 
     def element(self, x):
@@ -604,10 +605,10 @@ class ExtensionField(_FieldBase):
     # g^a + g^b = g^(a + Z[b - a]); a negative b - a indexes from the end,
     # which is its residue mod N - 1.  No Z[k] is 0, so 0 marks 1 + g^k = 0.
     #
-    # Characteristic 2 adds by XOR at every size, and above TABLE_LIMIT
-    # multiplies with direct_mul, a kernel on index digits that reads only
-    # the base field's tables.  Below the limit a field keeps the value ops
-    # until its own tables exist: there a kernel would not pay for itself.
+    # Characteristic 2 adds by XOR at every size, and until its own tables
+    # exist (always, above TABLE_LIMIT) multiplies with direct_mul, a kernel
+    # on index digits that reads only the base field's tables.  Inverses
+    # without tables run on vinv in every characteristic.
 
     def _ensure_tables(self):
         """Count one index op; return _log, building the tables once this
@@ -686,9 +687,7 @@ class ExtensionField(_FieldBase):
             return 0
         log = self._log or self._ensure_tables()
         if log is None:
-            if self.size > TABLE_LIMIT:
-                return (self._direct or self.direct_mul())(i, j)
-            return self.index_of(self.vmul(self.value_of(i), self.value_of(j)))
+            return (self._direct or self.direct_mul())(i, j)
         return self._exp[log[i] + log[j]]
 
     def inv(self, i):
@@ -915,12 +914,16 @@ def prime_field(p, /):
 
 
 def extension(base, modulus):
-    """Interned base[x]/(modulus); modulus is a raw tuple or Polynomial."""
+    """Interned base[x]/(modulus); modulus is a Polynomial over base or a
+    sequence of base element indices, low degree first."""
     if isinstance(modulus, Polynomial):
         if modulus.field is not base:
             raise LevelMismatchError("modulus is not over the base field")
         modulus = modulus.coeffs
-    return _extension_field(base, tuple(modulus))
+    modulus = tuple(modulus)
+    if not all(type(c) is int and 0 <= c < base.size for c in modulus):
+        raise ValueError("modulus coefficients must be element indices of %r" % (base,))
+    return _extension_field(base, modulus)
 
 
 _extension_field = cache(ExtensionField)  # keyed by (base, modulus tuple)
@@ -1046,25 +1049,8 @@ class FieldElement:
             return (self,)
         return tuple(FieldElement(base, c) for c in self.field.value_of(self.index))
 
-    def encode(self):
-        """Nested-array serialization: int at prime level, lists above."""
-        if self.field.base is None:
-            return self.index
-        return [c.encode() for c in self.coeffs]
-
     def __repr__(self):
         return "%r(%d)" % (self.field, self.index)
-
-
-def decode_element(field, data):
-    """Inverse of FieldElement.encode."""
-    if field.base is None:
-        if not (type(data) is int and 0 <= data < field.size):
-            raise ValueError("bad encoding for %r" % (field,))
-        return FieldElement(field, data)
-    if not (isinstance(data, (list, tuple)) and len(data) == field.deg):
-        raise ValueError("bad encoding for %r" % (field,))
-    return FieldElement(field, field.index_of([decode_element(field.base, c).index for c in data]))
 
 
 def embed(x, target):
@@ -1220,10 +1206,6 @@ class Polynomial:
         x = self.field.element(x)
         return self.field.from_index(_peval(self.field, self.coeffs, x.index))
 
-    def encode(self):
-        """Array of element encodings, low degree first."""
-        return [self.field.from_index(c).encode() for c in self.coeffs]
-
     def __repr__(self):
         if not self.coeffs:
             return "Poly(0)"
@@ -1334,16 +1316,16 @@ def find_irreducible(field, degree):
 # ---------------------------------------------------------------------------
 
 def _tower_level(base, poly, name, over):
-    """poly as a Polynomial over base, and the interned base[x]/(poly), which
+    """poly (a Polynomial over base, or base element indices as `extension`
+    reads them) as a Polynomial, and the interned base[x]/(poly), which
     validates poly once per field."""
-    if not isinstance(poly, Polynomial):
-        poly = Polynomial(base, poly)
-    elif poly.field is not base:
+    if isinstance(poly, Polynomial) and poly.field is not base:
         raise LevelMismatchError("%s must be over %s" % (name, over))
     try:
-        return poly, extension(base, poly.coeffs)
+        field = extension(base, poly)
     except ValueError:
         raise ValueError("%s must be monic irreducible" % name) from None
+    return Polynomial._from_raw(base, field.modulus), field
 
 
 class FieldTower:

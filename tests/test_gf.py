@@ -6,7 +6,7 @@ import pytest
 from curvemul import gf
 from curvemul.gf import (FieldTower, Polynomial, prime_field, extension,
                          canonical_extension, find_irreducible, embed, lift,
-                         decode_element, LevelMismatchError, NotInSubfieldError)
+                         LevelMismatchError, NotInSubfieldError)
 
 from invariants import (check_field_axioms, check_fermat, count_irreducibles, irreducible_list,
                         necklace_count)
@@ -223,17 +223,7 @@ def test_polynomial_eval_in_extension():
 def test_element_encoding_round_trip():
     for F in (F2, F4, F16):
         for x in F:
-            assert decode_element(F, x.encode()) == x
             assert F.from_index(x.index) == x
-
-
-def test_decode_element_rejects_bools():
-    # JSON writes a bool as true/false, so a bool is no element encoding
-    for F, data in ((F2, True), (F2, False), (F3, True), (F4, [True, 0]),
-                    (F4, [0, False]), (F16, [[1, 0], [0, True]])):
-        with pytest.raises(ValueError):
-            decode_element(F, data)
-    assert decode_element(F2, 1).encode() == 1 and type(decode_element(F2, 1).encode()) is int
 
 
 def test_irreducibles_stream_matches_enumeration():
@@ -396,7 +386,27 @@ def test_tower_equality_and_serialization():
     a = FieldTower.canonical(4, 2)
     b = FieldTower.canonical(4, 2)
     assert a == b and hash(a) == hash(b)
-    assert a.base_poly.encode() == [1, 1, 1]
+    assert FieldTower(*a.key()) == a
+
+
+@pytest.mark.parametrize("q,n", [(4, 2), (16, 3), (9, 2), (2, 5), (3, 4)])
+def test_tower_key_round_trip(q, n):
+    # a key holds element indices, and a raw sequence is read as indices
+    t = FieldTower.canonical(q, n)
+    assert FieldTower(*t.key()) == t
+    assert FieldTower(*t.key()).ext_field is t.ext_field
+
+
+def test_raw_moduli_must_be_element_indices():
+    # 5 is no index of F4, -1 is none either (not 1 or 3 mod p), and JSON
+    # writes a bool as true/false
+    for modulus in ((5, 0, 1), (-1, 1, 1), (True, 1, 1)):
+        with pytest.raises(ValueError, match="element indices"):
+            extension(F4, modulus)
+        with pytest.raises(ValueError, match="^ext_poly must be monic irreducible$"):
+            FieldTower(2, (1, 1, 1), modulus)
+    with pytest.raises(ValueError):
+        extension(F2, [1, 1.0, 1])
 
 
 def test_interning():
@@ -464,6 +474,18 @@ def test_no_tables_above_limit():
             want = E.index_of(E.vmul(E.value_of(i), E.value_of(j)))
             assert E.mul(i, j) == direct(i, j) == want, (E, i, j)
         assert E._log is None
+
+
+def test_untabled_char2_products_run_on_the_kernel(monkeypatch):
+    # below TABLE_LIMIT too, a characteristic-2 field multiplies on index
+    # digits until its own tables exist, never through vmul on values
+    E = _uninterned(2, 12)
+    vmul, rng = E.vmul, random.Random(12)
+    monkeypatch.setattr(E, "vmul", None)  # a call raises TypeError
+    for _ in range(E.size - 1):
+        i, j = rng.randrange(1, E.size), rng.randrange(1, E.size)
+        assert E.mul(i, j) == E.index_of(vmul(E.value_of(i), E.value_of(j))), (i, j)
+    assert E._log is None
 
 
 def _lanes_of(planes, count):
@@ -713,7 +735,6 @@ def test_embed_lift_and_encoding_keep_the_index_at_every_level():
     for F, R in zip(levels, levels[1:] + [None]):
         for i in [0, 1, F.size - 1] + [rng.randrange(F.size) for _ in range(20)]:
             x = F.from_index(i)
-            assert decode_element(F, x.encode()) == x
             assert embed(x, F) == x
             if R is not None:
                 assert embed(x, R).index == i and lift(embed(x, R)) == x
