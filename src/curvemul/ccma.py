@@ -158,8 +158,12 @@ def verify(formula, mode="auto", pairs=DEFAULT_SAMPLES, seed=0):
     characteristic pair by pair, against E.mul (exhaustive) or
     E.direct_mul (sampled).  Failures are reported, not raised; a failure
     names a concrete pair (x, y) by element indices, the first in the
-    scan's order.
+    scan's order.  The seed must be a non-negative int, so that the
+    report's seed replays the pairs: random.Random seeds with abs(seed),
+    and with None from the OS.
     """
+    if type(seed) is not int or seed < 0:  # not bool
+        raise ValueError("seed must be a non-negative int, got %r" % (seed,))
     mode = verify_mode(formula.tower.ext_field.size, mode, pairs)
     if mode == "tensor":
         return _verify_tensor(formula)

@@ -5,9 +5,11 @@ degree, point counts as character sums over the x-line, exhaustive point
 counting (the oracle), point counts over every F_(q^k) from N1 through the
 zeta function, a principality test through the elliptic group law, and a
 searchable catalog of curves with (N1, N2) data: N1 a character sum, N2 from
-the zeta function.  The catalog sweeps Weierstrass tuples as raw indices,
-the discriminant and the sum's invariants taken once per (a1, a2, a3, a4)
-prefix, and builds a curve only for an entry it returns.
+the zeta function.  The catalog sweeps Weierstrass tuples as raw indices and
+builds a curve only for an entry it returns.  In odd characteristic N1 and
+the discriminant depend on (b2, b4, b6) alone and are read from one row per
+(b2, b4); in characteristic 2 the discriminant is taken once per
+(a1, a2, a3, a4) prefix and N1 from trace tables per (a1, a3).
 
 Conventions fixed once so that every run reproduces the same objects:
 
@@ -139,6 +141,33 @@ def _char_sum(R, b2, b4, b6):
     chi, p = gf.quadratic_character(R), R.char
     g = [b6, R.mul(2 % p, b4), b2, 4 % p]
     return sum(chi(_peval(R, g, x)) for x in range(R.size))
+
+
+@functools.cache
+def _chi_shifts(R):
+    """[[chi(v + b) for b in R] for v in R], odd p: row v of a character
+    sum that runs over b."""
+    chi, add, q = gf.quadratic_character(R), R.add, R.size
+    return [[chi(add(v, b)) for b in range(q)] for v in range(q)]
+
+
+@functools.cache
+def _odd_row(R, b2, b4):
+    """[N1 of (2y + h)^2 = 4x^3 + b2 x^2 + 2b4 x + b6 for each b6 in R, or 0
+    where it is singular], odd p.  One pass over x takes the values v of
+    4x^3 + b2 x^2 + 2b4 x; each b6's sum of chi(v + b6) is a column sum of
+    their _chi_shifts rows.  As 4 b8 = b2 b6 - b4^2, the discriminant is
+    -27 b6^2 + (9 b2 b4 - b2^3/4) b6 + b2^2 b4^2/4 - 8 b4^3."""
+    q, p, add, sub, mul = R.size, R.char, R.add, R.sub, R.mul
+    shifts, c1 = _chi_shifts(R), mul(2 % p, b4)
+    sums = map(sum, zip(*[shifts[mul(add(mul(add(mul(4 % p, x), b2), x), c1), x)]
+                          for x in range(q)]))
+    quarter, b22, b44 = R.inv(4 % p), mul(b2, b2), mul(b4, b4)
+    d2 = R.neg(27 % p)
+    d1 = sub(mul(9 % p, mul(b2, b4)), mul(quarter, mul(b22, b2)))
+    d0 = sub(mul(quarter, mul(b22, b44)), mul(8 % p, mul(b4, b44)))
+    return [1 + q + s if add(mul(add(mul(d2, b6), d1), b6), d0) else 0
+            for b6, s in enumerate(sums)]
 
 
 @functools.cache
@@ -655,11 +684,13 @@ class EllipticCurve:
     def point_count(self, k=1):
         """#E(F_(q^k)) as a character sum: the fiber over x has 1 + eps(x)
         points.  In odd characteristic eps(x) = chi(4x^3 + b2 x^2 + 2b4 x +
-        b6), so the sum is memoised per (b2, b4, b6).  In characteristic 2,
-        eps(x) is 0 where h(x) = a1 x + a3 vanishes and (-1)^Tr(f(x)/h(x)^2)
-        elsewhere; the trace is linear in (a2, a4, a6), so the signs over
-        every x are one XOR of the columns of (a1, a3) that the coefficients'
-        bits select.  `points` is the enumerative oracle."""
+        b6), so the sum is memoised per (b2, b4, b6); the catalogue sweep
+        reads the same sums, and the discriminant, from one _odd_row per
+        (b2, b4) over every b6.  In characteristic 2, eps(x) is 0 where
+        h(x) = a1 x + a3 vanishes and (-1)^Tr(f(x)/h(x)^2) elsewhere; the
+        trace is linear in (a2, a4, a6), so the signs over every x are one
+        XOR of the columns of (a1, a3) that the coefficients' bits select.
+        `points` is the enumerative oracle."""
         R = canonical_extension(self.field, k)
         if R.size > SCAN_LIMIT:
             raise BudgetExceededError("point budget exceeded")
@@ -952,15 +983,19 @@ class EllipticCurve:
 # ---------------------------------------------------------------------------
 
 class CatalogEntry:
-    """A curve with N1, which is counted, and N2, which follows from N1
-    through the zeta function (weil_counts)."""
+    """A curve with N1, which is counted, and N2, the number of degree-2
+    places, which follows from N1 through the zeta function: with
+    t = q + 1 - N1, #E(F_(q^2)) = q^2 + 1 - (t^2 - 2q) (weil_counts at
+    k = 2), and N2 = (#E(F_(q^2)) - N1) / 2."""
 
     __slots__ = ("curve", "n1", "n2")
 
     def __init__(self, curve, n1):
+        q = curve.field.size
+        t = q + 1 - n1
         self.curve = curve
         self.n1 = n1
-        self.n2 = (weil_counts(curve.field.size, n1, 2)[1] - n1) // 2
+        self.n2 = (q * q + 1 - t * t + 2 * q - n1) // 2
 
     def __repr__(self):
         return "CatalogEntry(%r, N1=%d, N2=%d)" % (self.curve, self.n1, self.n2)
@@ -1007,29 +1042,31 @@ def _curve(F, a):
 
 def _sweep(F):
     """(coeffs, N1) for the nonsingular tuples of the Weierstrass family, in
-    its order.  Per prefix (a1, .., a4), with b2, b4, b6(0) = a3^2 and
-    b8(0) = c8 those of a6 = 0, b6 = a3^2 + 4 a6 and b8 = b2 a6 + c8 turn
-    the discriminant 9 b2 b4 b6 - b2^2 b8 - 8 b4^3 - 27 b6^2 into
-    -432 a6^2 + (36 b2 b4 - 216 a3^2 - b2^3) a6 + c0, c0 its value at
-    a6 = 0, so a tuple costs a Horner step or two.  N1 is point_count's
-    character sum: in odd characteristic through the same memo; in
-    characteristic 2 the columns of (a1, a3) are spanned into tables over
-    a2, a4 and a6, one XOR per curve."""
-    q, p, add, sub, mul = F.size, F.char, F.add, F.sub, F.mul
-    four, quad = [_scaled(F, 4, a) for a in range(q)], [_scaled(F, -432, a) for a in range(q)]
+    its order, as point_count's character sum.  In odd characteristic a
+    prefix (a1, .., a4) costs b2 = a1^2 + 4 a2, b4 = a1 a3 + 2 a4 and a3^2,
+    and each a6 one lookup in the _odd_row of (b2, b4) at b6 = a3^2 + 4 a6,
+    whose 0 marks a singular curve.  In characteristic 2, where b2 = a1^2,
+    b4 = a1 a3, b6 = a3^2 and b8 = b2 a6 + c8 (c8 its value at a6 = 0), the
+    discriminant b2^2 b8 + b6^2 + b2 b4 b6 is c1 a6 + c0 with c1 = b2^3, and
+    the trace columns of (a1, a3) are spanned into tables over a2, a4 and
+    a6, one XOR per curve."""
+    q, add, mul = F.size, F.add, F.mul
+    if F.char != 2:
+        four = [_scaled(F, 4, a) for a in range(q)]
+        for prefix in _prefixes(F):
+            a1, a2, a3, a4 = prefix
+            row = _odd_row(F, add(mul(a1, a1), four[a2]), add(mul(a1, a3), _scaled(F, 2, a4)))
+            a33 = mul(a3, a3)
+            for a6 in range(q):
+                if n1 := row[add(a33, four[a6])]:
+                    yield prefix + (a6,), n1
+        return
     tables = {}
     for prefix in _prefixes(F):
         a1, a2, a3, a4 = prefix
         b2, b4, a33, c8 = _curve(F, prefix + (0,)).b_invariants()
-        b22, b24 = mul(b2, b2), mul(b2, b4)
-        c0 = sub(sub(_scaled(F, 9, mul(b24, a33)), mul(b22, c8)),
-                 add(_scaled(F, 8, mul(b4, mul(b4, b4))), _scaled(F, 27, mul(a33, a33))))
-        c1 = sub(_scaled(F, 36, b24), add(mul(b22, b2), _scaled(F, 216, a33)))
-        if p != 2:
-            for a6 in range(q):
-                if add(mul(add(quad[a6], c1), a6), c0):
-                    yield prefix + (a6,), 1 + q + _char_sum(F, b2, b4, add(a33, four[a6]))
-            continue
+        b22 = mul(b2, b2)
+        c0, c1 = add(add(mul(b22, c8), mul(a33, a33)), mul(mul(b2, b4), a33)), mul(b22, b2)
         if (a1, a3) not in tables:
             n, cols = _trace_columns(F, a1, a3)
             s = F.degree
@@ -1049,9 +1086,8 @@ def curve_search(field, min_n1):
     q = field.size
     if q > CATALOG_Q_LIMIT:
         raise BudgetExceededError("curve search supports q <= %d" % CATALOG_Q_LIMIT)
-    found = [(coeffs, n1) for coeffs, n1 in _sweep(field) if n1 >= min_n1]
-    found.sort(key=lambda t: (-t[1], t[0]))
-    return [CatalogEntry(_curve(field, coeffs), n1) for coeffs, n1 in found]
+    found = sorted((-n1, coeffs) for coeffs, n1 in _sweep(field) if n1 >= min_n1)
+    return [CatalogEntry(_curve(field, coeffs), -m) for m, coeffs in found]
 
 
 @functools.cache

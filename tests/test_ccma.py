@@ -149,6 +149,17 @@ def test_verify_sampled_deterministic():
     assert a.passed and b.passed and a.seed == b.seed == 42
 
 
+def test_verify_rejects_seeds_that_do_not_replay():
+    # random.Random(-3) draws what Random(3) draws, and Random(None) reads
+    # the OS, so neither seed in a report would name the pairs checked
+    f = ccma.construct_case1(4, 2)
+    for seed in (-3, None, True, 1.0, "3"):
+        for mode in ("sampled", "tensor"):
+            with pytest.raises(ValueError, match="seed"):
+                ccma.verify(f, mode, pairs=10, seed=seed)
+    assert ccma.verify(f, "sampled", pairs=10, seed=3).seed == 3
+
+
 def _sampled_reference(formula, pairs, seed):
     """The sampled scan written with the public API: apply against x * y."""
     E = formula.tower.ext_field

@@ -216,6 +216,16 @@ def test_tensor_mode(tmp_path, capsys):
     assert code == 1 and "status=fail" in out and "mode=tensor" in out and "failure=(" in out
 
 
+def test_verify_negative_seed_exit3(tmp_path, capsys):
+    # --seed -3 would draw the pairs of --seed 3 and report seed=-3
+    f = str(tmp_path / "f42.json")
+    assert run(capsys, "construct", "--q", "4", "--n", "2", "--out", f)[0] == 0
+    code, out = run(capsys, "verify", "--file", f, "--mode", "sampled", "--seed", "-3")
+    assert code == 3 and out.startswith("status=bad-input") and "seed" in out
+    code, out = run(capsys, "verify", "--file", f, "--mode", "sampled", "--seed", "3")
+    assert code == 0 and "seed=3" in out
+
+
 @pytest.mark.parametrize("argv", [
     ("construct", "--q", "2", "--n", "2"),
     ("bound", "--q", "2", "--n", "2"),

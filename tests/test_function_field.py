@@ -112,13 +112,51 @@ def _sweep_curves(F, step=1):
 
 def _clear_point_count_memos():
     function_field._char_sum.cache_clear()
+    function_field._odd_row.cache_clear()
     function_field._trace_columns.cache_clear()
 
 
 def _assert_point_count_memos_within(q, fields):
-    # at most q^3 character sums and q^2 trace column sets per field counted over
+    # at most q^3 character sums, q^2 rows (one per (b2, b4)) and q^2 trace
+    # column sets per field counted over
     assert function_field._char_sum.cache_info().currsize <= fields * q ** 3
+    assert function_field._odd_row.cache_info().currsize <= fields * q ** 2
     assert function_field._trace_columns.cache_info().currsize <= fields * q ** 2
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 9, 25])
+def test_odd_row_is_char_sum_where_nonsingular(q):
+    # every (b2, b4, b6): the curve y^2 = x^3 + (b2/4) x^2 + (b4/2) x + b6/4
+    # has exactly these invariants; its row entry is 0 where its
+    # discriminant vanishes and 1 + q + the character sum elsewhere
+    F = gf.canonical_field(q)
+    half, quarter = F.inv(2), F.inv(4 % F.char)
+    _clear_point_count_memos()
+    for b2, b4 in itertools.product(range(q), repeat=2):
+        row = function_field._odd_row(F, b2, b4)
+        assert len(row) == q
+        for b6 in range(q):
+            E = function_field._curve(F, (0, F.mul(quarter, b2), 0, F.mul(half, b4),
+                                          F.mul(quarter, b6)))
+            assert E.b_invariants()[:3] == (b2, b4, b6)
+            if E.discriminant() == 0:
+                assert row[b6] == 0, (q, b2, b4, b6)
+            else:
+                assert row[b6] == 1 + q + function_field._char_sum(F, b2, b4, b6), (q, b2, b4, b6)
+    _assert_point_count_memos_within(q, 1)
+
+
+def test_odd_sweep_reads_rows_only(monkeypatch):
+    # the p = 3 normal form gives every tuple a new (b2, b4, b6): the sweep
+    # takes N1 from at most q^2 rows and makes no character-sum call
+    F = gf.canonical_field(27)
+    _clear_point_count_memos()
+
+    def refused(*args):
+        raise AssertionError("_char_sum called by the sweep")
+    monkeypatch.setattr(function_field, "_char_sum", refused)
+    assert len(curve_search(F, 0)) == 18954
+    assert function_field._odd_row.cache_info().currsize == 27 ** 2
 
 
 def test_point_count_matches_enumeration():

@@ -5,7 +5,9 @@ Refactors must not change what curvemul writes.  The files under
 tests/golden/ were recorded before the element-representation refactor
 (`curves_q8_min13.txt` before N2 came from the zeta function,
 `curves_q9.txt`, `curves_q32_min42.txt` and `curves_q49_min60.txt` before
-the Weierstrass sweeps ran on raw indices,
+the Weierstrass sweeps ran on raw indices, `curves_q27_min38.txt` (the p = 3
+normal form) and `curves_q7_min13.txt` (the full sweep, a1 and a3 nonzero
+included) before the odd-characteristic sweep read per-(b2, b4) rows,
 `bound_depth3_wide.txt` before best_bound stopped at the rank floor,
 `formula_9_7_n1_16_case1.json` before genus-1 local conditions became
 congruences over F_q[x]) with
@@ -97,6 +99,8 @@ def golden_outputs():
     out["curves_q8_min13.txt"] = _cli("curves", "--q", "8", "--min-n1", "13")
     # one normal-form family per characteristic: p = 3, p = 2, p >= 5
     out["curves_q9.txt"] = _cli("curves", "--q", "9")
+    out["curves_q27_min38.txt"] = _cli("curves", "--q", "27", "--min-n1", "38")
+    out["curves_q7_min13.txt"] = _cli("curves", "--q", "7", "--min-n1", "13")
     out["curves_q32_min42.txt"] = _cli("curves", "--q", "32", "--min-n1", "42")
     out["curves_q49_min60.txt"] = _cli("curves", "--q", "49", "--min-n1", "60")
     out["bound_depth3.txt"] = _bounds((q, n) for q in BOUND_QS for n in BOUND_NS)
