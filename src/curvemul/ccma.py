@@ -149,7 +149,11 @@ def verify(formula, mode="auto", pairs=DEFAULT_SAMPLES, seed=0):
 
     mode 'tensor' proves the identity for every (q, n): both sides are
     symmetric and F_q-bilinear, so it suffices to check the n(n+1)/2 basis
-    pairs e_j*e_k with j <= k.  Mode 'exhaustive' sweeps all q^(2n) pairs and
+    pairs e_j*e_k with j <= k.  The proof runs on element indices: it reads
+    each e_j*e_k = t^(j+k) from the reduction rows of E's modulus and sums
+    the left-hand side on the base-p digits of the products
+    x_t*(e_j) x_t*(e_k), with no product of coefficient tuples
+    (_verify_tensor).  Mode 'exhaustive' sweeps all q^(2n) pairs and
     refuses when q^n > 256; mode 'sampled' checks `pairs` seeded random
     pairs; 'auto' picks whichever of these two is affordable.  The scans are
     independent cross-checks of the proof, and one loop over the pair
@@ -162,12 +166,18 @@ def verify(formula, mode="auto", pairs=DEFAULT_SAMPLES, seed=0):
     report's seed replays the pairs: random.Random seeds with abs(seed),
     and with None from the OS.
     """
-    if type(seed) is not int or seed < 0:  # not bool
-        raise ValueError("seed must be a non-negative int, got %r" % (seed,))
+    check_seed(seed)
     mode = verify_mode(formula.tower.ext_field.size, mode, pairs)
     if mode == "tensor":
         return _verify_tensor(formula)
     return _verify_scan(formula, mode, pairs, seed)
+
+
+def check_seed(seed):
+    """Raise ValueError unless seed is a non-negative int, as `verify`
+    needs; the constructors and the CLI call it before they build."""
+    if type(seed) is not int or seed < 0:  # not bool
+        raise ValueError("seed must be a non-negative int, got %r" % (seed,))
 
 
 def verify_mode(size, mode, pairs):
@@ -184,37 +194,85 @@ def verify_mode(size, mode, pairs):
     return mode
 
 
-def _basis(tower):
-    """The power basis e_0 .. e_(n-1) of F_(q^n) over F_q, as raw values."""
-    Fq, n = tower.base_field, tower.n
-    return [tuple(Fq.one_index if i == j else 0 for i in range(n)) for j in range(n)]
+def _power_indices(E):
+    """[index of t^m for m = 0 .. 2n - 2] in E = F_q[t]/(f) of degree n: the
+    right-hand side e_j * e_k = t^(j+k) of the multiplication tensor.  An
+    index is the base-q number of its coefficients, so t^m is the unit q^m
+    for m < n; above that it is E._red_rows[m - n], the row x^m mod f that
+    vmul reduces with."""
+    n, q = E.deg, E.base.size
+    return [q ** m for m in range(n)] + [E.index_of(row) for row in E._red_rows[:n - 1]]
 
 
-def _basis_products(tower):
-    """{(j, k): e_j * e_k} for the basis pairs j <= k, in row-major order:
-    the right-hand side of the multiplication tensor."""
-    basis = _basis(tower)
-    vmul = tower.ext_field.vmul
-    return {(j, k): vmul(basis[j], basis[k])
-            for j in range(len(basis)) for k in range(j, len(basis))}
+def _slots(p, count, bound):
+    """(pack, unpack) for vectors of `count` F_p coordinates held in one int,
+    one slot each, wide enough that integer sums of packed vectors up to
+    `bound` per slot cannot carry; unpack reduces each slot mod p."""
+    width = bound.bit_length()
+    shifts, mask = range(0, count * width, width), (1 << width) - 1
+
+    def pack(vec):
+        return sum(v << sh for v, sh in zip(vec, shifts))
+
+    def unpack(acc):
+        return tuple((acc >> sh & mask) % p for sh in shifts)
+    return pack, unpack
 
 
 def _verify_tensor(formula):
+    """The proof on the basis pairs (j, k), j <= k, in row-major order.
+
+    s_t = x_t*(e_j) x_t*(e_k) is an element of F_q, and s_t c_t is F_p-linear
+    in its base-p digits, so sum_t s_t c_t is a sum of the images of
+    g^v c_t (g the generator of F_q over F_p, v < deg F_q), one per digit,
+    computed once per term.  In characteristic 2 the images are indices of
+    E and a pair's sum is one XOR per set bit of s_t; in odd characteristic
+    they are E's digits packed in slots wide enough that a pair's sum cannot
+    carry, and each slot is reduced mod p once per pair.  The sum is
+    compared with t^(j+k) (_power_indices), as an index or as its digits."""
     tower = formula.tower
     Fq, E = tower.base_field, tower.ext_field
-    fadd, fmul = Fq.add, Fq.mul
-    basis = _basis(tower)
-    products = _basis_products(tower)
-    for checked, ((j, k), want) in enumerate(products.items(), 1):
-        acc = (0,) * len(want)
-        for xs, c in formula.terms:
-            s = fmul(xs[j], xs[k])
-            if s:
-                acc = tuple(fadd(a, fmul(s, cc)) for a, cc in zip(acc, c))
-        if acc != want:
-            return VerificationReport(False, "tensor", checked,
-                                      first_failure=(E.index_of(basis[j]), E.index_of(basis[k])))
-    return VerificationReport(True, "tensor", len(products))
+    p, q, n, s = tower.p, Fq.size, tower.n, Fq.degree
+    fmul = Fq.mul
+    images = [[E.index_of(tuple(fmul(p ** v, cc) for cc in c)) for v in range(s)]
+              for _, c in formula.terms]
+    powers = _power_indices(E)
+    if p == 2:
+        def lhs(j, k):
+            acc = 0
+            for (xs, _), imgs in zip(formula.terms, images):
+                d = fmul(xs[j], xs[k])
+                for img in imgs:
+                    if not d:
+                        break
+                    if d & 1:
+                        acc ^= img
+                    d >>= 1
+            return acc
+    else:
+        pack, unpack = _slots(p, E.degree, formula.rank * s * (p - 1) ** 2)
+        Fp = prime_field(p)
+        images = [[pack(gf._raw_from_int(Fp, i, E.degree)) for i in imgs] for imgs in images]
+        powers = [tuple(gf._raw_from_int(Fp, i, E.degree)) for i in powers]
+
+        def lhs(j, k):
+            acc = 0
+            for (xs, _), imgs in zip(formula.terms, images):
+                d = fmul(xs[j], xs[k])
+                for img in imgs:
+                    if not d:
+                        break
+                    d, digit = divmod(d, p)
+                    acc += digit * img
+            return unpack(acc)
+    checked = 0
+    for j in range(n):
+        for k in range(j, n):
+            checked += 1
+            if lhs(j, k) != powers[j + k]:
+                return VerificationReport(False, "tensor", checked,
+                                          first_failure=(q ** j, q ** k))
+    return VerificationReport(True, "tensor", checked)
 
 
 def _unit_values(formula):
@@ -513,7 +571,8 @@ def construct_case1(q, n, curve=None, verify_mode="tensor", pairs=DEFAULT_SAMPLE
     Requires N1 > 2n + 2g - 2 on the chosen curve (genus-0 line by default).
     The result is checked with verify(formula, verify_mode, pairs, seed)
     before it is returned; the default 'tensor' mode is a proof.  A failed
-    check raises VerificationError.
+    check raises VerificationError; a seed that verify refuses raises
+    ValueError before the search starts.
     """
     return _construct(q, n, curve, case=1, verify_mode=verify_mode, pairs=pairs, seed=seed)
 
@@ -529,6 +588,7 @@ def construct_case3(q, n, curve=None, verify_mode="tensor", pairs=DEFAULT_SAMPLE
 
 
 def _construct(q, n, curve, case, verify_mode, pairs, seed):
+    check_seed(seed)
     if n < 2:
         raise ValueError("construction requires n >= 2")
     tower = FieldTower.canonical(q, n)
@@ -718,8 +778,13 @@ def compose(outer, inner, verify_mode="tensor", pairs=DEFAULT_SAMPLES, seed=0):
     The composed formula lives on the flattened canonical tower; the stacked
     field is identified with it through the smallest roots of the defining
     polynomials, which gf.roots finds without scanning the composed field.
-    The result is checked as in construct_case1.
+    Each outer constant is mapped into the composed field once, and each
+    inner term's part of the coordinate change, blocks * Minv, is one packed
+    row per coordinate, so a composed form costs n multiples of packed ints
+    and one reduction mod p per coordinate.  A bad seed is refused before
+    any work; the result is checked as in construct_case1.
     """
+    check_seed(seed)
     E = outer.tower.ext_field
     if inner.tower.base_field is not E:
         raise TowerMismatchError("inner base field must equal the outer extension field")
@@ -760,23 +825,33 @@ def compose(outer, inner, verify_mode="tensor", pairs=DEFAULT_SAMPLES, seed=0):
     Mcols = [list(col) for col in zip(*M)]  # columns indexed by (a, b)
     Minv = linalg.invert(Fp, Mcols)
 
+    # a coordinate of a row of blocks * Minv sums n*m products in F_p
+    pack, unpack = _slots(p, n * m, n * m * (p - 1) ** 2)
+    Minv_rows = [pack(row) for row in Minv]
+    units = [E.value_of(p ** b) for b in range(n)]
+
     @functools.cache
     def mul_matrix(e_idx):
         """Multiplication-by-e matrix on F_(q^n) over F_p (n x n)."""
         ev = E.value_of(e_idx)
-        return list(zip(*(E.vmul(ev, unit) for unit in _basis(outer.tower))))
+        return list(zip(*(E.vmul(ev, unit) for unit in units)))
 
+    c_Cs = [iota(c_val) for _, c_val in outer.terms]
     terms = []
     for ustar, d_val in inner.terms:
         d_C = 0
         for a in range(m):
             d_C = C.add(d_C, C.mul(iota(E.value_of(d_val[a])), u_pows[a]))
+        # xstar = vstar * blocks * Minv with the m blocks side by side;
+        # rows[i] is row i of blocks * Minv, once per inner term
         blocks = [mul_matrix(ustar[a]) for a in range(m)]
-        for vstar, c_val in outer.terms:
-            c_C = C.mul(iota(c_val), d_C)
-            stacked = [v for mat in blocks for v in _row_times(Fp, vstar, mat)]
-            xstar = _row_times(Fp, stacked, Minv)
-            terms.append((xstar, C.value_of(c_C)))
+        rows = []
+        for i in range(n):
+            stacked = [v for mat in blocks for v in mat[i]]
+            rows.append(pack(unpack(sum(v * r for v, r in zip(stacked, Minv_rows) if v))))
+        for (vstar, _), c_C in zip(outer.terms, c_Cs):
+            xstar = unpack(sum(v * row for v, row in zip(vstar, rows) if v))
+            terms.append((xstar, C.value_of(C.mul(c_C, d_C))))
 
     prov = {"method": "composed", "q": p, "n": n * m,
             "outer": outer.provenance.get("method"), "outer_n": n,
@@ -819,8 +894,9 @@ def brute_force_symmetric_rank(q, n, max_rank):
         lead = next(i for i, v in enumerate(vec) if v)
         if vec[lead] == Fq.one_index:
             forms.append(vec)
-    rhs = _basis_products(tower)
-    pairs = list(rhs)
+    E, powers = tower.ext_field, _power_indices(tower.ext_field)
+    pairs = [(j, k) for j in range(n) for k in range(j, n)]
+    rhs = [E.value_of(powers[j + k]) for j, k in pairs]
     for r in range(1, max_rank + 1):
         for combo in itertools.combinations(forms, r):
             mat = []
@@ -828,7 +904,7 @@ def brute_force_symmetric_rank(q, n, max_rank):
                 mat.append([Fq.mul(f[j], f[k]) for f in combo])
             ok = True
             for slot in range(n):
-                b = [rhs[(j, k)][slot] for (j, k) in pairs]
+                b = [want[slot] for want in rhs]
                 if linalg.solve(Fq, mat, b) is None:
                     ok = False
                     break

@@ -74,6 +74,7 @@ def _genus_attempts(field, genera):
 def cmd_construct(args):
     _check_qn(args.q, args.n, for_construction=True)
     ccma.verify_mode(args.q ** args.n, args.mode, args.pairs)
+    ccma.check_seed(args.seed)
     field = gf.canonical_field(args.q)
     attempts = _select_curves(args, field)
     cases = [(1, ccma.construct_case1)]

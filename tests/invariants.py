@@ -476,3 +476,27 @@ def oracle_eval(curve, f, place):
         return 0
     R = place.residue_field
     return R.mul(num.coeffs[vn], R.inv(den.coeffs[vd]))
+
+
+def tensor_reference(formula):
+    """(passed, pairs_checked, first_failure) of the multiplication tensor
+    checked on coefficient tuples, as ccma.verify's 'tensor' mode did before
+    it moved onto index digits: over the basis pairs j <= k in row-major
+    order, e_j*e_k by E.vmul against sum_t x_t*(e_j) x_t*(e_k) c_t summed
+    coordinate by coordinate in F_q.  first_failure is the pair of element
+    indices (of e_j, of e_k)."""
+    tower = formula.tower
+    Fq, E, n = tower.base_field, tower.ext_field, tower.n
+    basis = [tuple(Fq.one_index if i == j else 0 for i in range(n)) for j in range(n)]
+    checked = 0
+    for j in range(n):
+        for k in range(j, n):
+            checked += 1
+            acc = (0,) * n
+            for xs, c in formula.terms:
+                s = Fq.mul(xs[j], xs[k])
+                if s:
+                    acc = tuple(Fq.add(a, Fq.mul(s, cc)) for a, cc in zip(acc, c))
+            if acc != E.vmul(basis[j], basis[k]):
+                return False, checked, (E.index_of(basis[j]), E.index_of(basis[k]))
+    return True, checked, None

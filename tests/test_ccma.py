@@ -1,5 +1,6 @@
 import collections
 import functools
+import itertools
 import json
 import os
 import random
@@ -13,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 from curvemul import ccma, gf
 from curvemul.gf import FieldTower, prime_field, canonical_extension, find_irreducible
 from curvemul.function_field import curve_search, BudgetExceededError, EllipticCurve
+from invariants import tensor_reference
 
 
 def schoolbook_formula(q, n):
@@ -147,6 +149,23 @@ def test_verify_sampled_deterministic():
     a = ccma.verify(f, "sampled", pairs=500, seed=42)
     b = ccma.verify(f, "sampled", pairs=500, seed=42)
     assert a.passed and b.passed and a.seed == b.seed == 42
+
+
+def test_bad_seed_refused_before_construction(monkeypatch):
+    # the constructors and compose check the seed on entry, not after the
+    # formula is built and handed to verify
+    def never(*args, **kwargs):
+        pytest.fail("construction work started for a bad seed")
+
+    outer, inner = ccma.construct_case1(2, 2), ccma.construct_case1(4, 2)
+    monkeypatch.setattr(ccma, "_attempt", never)
+    monkeypatch.setattr(gf, "roots", never)
+    for seed in (-3, None, True):
+        for build in (lambda: ccma.construct_case1(4, 3, seed=seed),
+                      lambda: ccma.construct_case3(3, 5, seed=seed),
+                      lambda: ccma.compose(outer, inner, seed=seed)):
+            with pytest.raises(ValueError, match="seed must be a non-negative int"):
+                build()
 
 
 def test_verify_rejects_seeds_that_do_not_replay():
@@ -467,6 +486,91 @@ def test_tensor_agrees_with_exhaustive(name):
         assert tensor.passed is ccma.verify(g, "exhaustive").passed is expected
         n = g.tower.n
         assert tensor.pairs_checked <= n * (n + 1) // 2
+
+
+def _golden_formula(name):
+    return ccma.load_formula(os.path.join(os.path.dirname(__file__), "golden", name))
+
+
+def _composed_2_12():
+    return ccma.compose(ccma.compose(ccma.construct_case1(2, 2), ccma.construct_case1(4, 2)),
+                        ccma.construct_case1(16, 3))
+
+
+TENSOR_FORMULAS = {
+    "case1-16-3": lambda: ccma.construct_case1(16, 3),
+    "case1-16-5": lambda: ccma.construct_case1(16, 5),
+    "case1-9-3": lambda: ccma.construct_case1(9, 3),
+    "case1-9-4": lambda: ccma.construct_case1(9, 4),
+    "case1-251-2": lambda: ccma.construct_case1(251, 2),
+    "elliptic-4-4": _elliptic_4_4,
+    "elliptic-9-7": lambda: _golden_formula("formula_9_7_n1_16_case1.json"),
+    "compose-2-8": _three_levels,
+    "compose-2-12": _composed_2_12,
+    "compose-3-8": lambda: ccma.compose(ccma.construct_case1(3, 2), ccma.construct_case1(9, 4)),
+    # p > 256: one digit per F_p coordinate, and the widest packed slots
+    "file-257-3": lambda: ccma.formula_from_dict(
+        ccma.formula_to_dict(ccma.construct_case1(257, 3))),
+}
+
+
+def _single_corruptions(f, rng, count):
+    """count copies of f, each with one coefficient of one term (a form
+    coordinate or a constant coordinate) moved to another element of F_q."""
+    Fq = f.tower.base_field
+    for _ in range(count):
+        t = rng.randrange(f.rank)
+        xs, c = map(list, f.terms[t])
+        part = rng.choice((xs, c))
+        i = rng.randrange(len(part))
+        part[i] = Fq.add(part[i], 1 + rng.randrange(Fq.size - 1))
+        terms = f.terms[:t] + ((xs, c),) + f.terms[t + 1:]
+        yield ccma.SymmetricBilinearFormula(f.tower, terms, f.provenance)
+
+
+@pytest.mark.parametrize("name", sorted(TENSOR_FORMULAS))
+def test_tensor_proof_matches_tuple_reference(name):
+    # the proof on index digits reports what the tuple check reports: the
+    # verdict, the row-major pair count and the failing basis pair, on the
+    # formula and on seeded single-coefficient corruptions of it
+    f = TENSOR_FORMULAS[name]()
+    failures = 0
+    for g in itertools.chain([f], _single_corruptions(f, random.Random(name), 12)):
+        rep = ccma.verify(g, "tensor")
+        assert (rep.passed, rep.pairs_checked, rep.first_failure) == tensor_reference(g)
+        failures += not rep.passed
+    assert ccma.verify(f, "tensor").passed and failures >= 6
+
+
+@pytest.mark.parametrize("q, n", [(2, 7), (3, 5), (257, 3), (16, 5), (4, 6), (9, 4), (49, 3)])
+def test_power_indices_are_powers_of_t_mod_the_modulus(q, n):
+    # Complete over the 2n - 1 powers t^(j+k) that the tensor proof reads,
+    # on one-level (F_q prime) and two-level towers in both characteristics.
+    # The proof relies on one structural fact: an index of E = F_q[t]/(f) is
+    # the base-q number of its coefficients, so t^m is the unit q^m for
+    # m < n, and E._red_rows[m - n] is t^m mod f above that.
+    E = FieldTower.canonical(q, n).ext_field
+    Fq = E.base
+    want = []
+    for m in range(2 * n - 1):
+        rem = gf._pdivmod(Fq, [0] * m + [Fq.one_index], list(E.modulus))[1]
+        want.append(E.index_of(tuple(rem) + (0,) * (n - len(rem))))
+    assert ccma._power_indices(E) == want
+
+
+def test_tensor_proof_makes_no_tuple_products(monkeypatch):
+    # the right-hand side is read from the reduction rows, not multiplied
+    formulas = [_composed_2_12(), ccma.construct_case1(9, 4), ccma.construct_case1(257, 3)]
+    monkeypatch.setattr(gf.ExtensionField, "vmul", None)  # a call raises TypeError
+    for f in formulas:
+        assert ccma.verify(f, "tensor").passed
+
+
+def test_brute_force_reads_the_power_indices(monkeypatch):
+    # the brute-force oracle's right-hand side is the proof's, not vmul's
+    monkeypatch.setattr(gf.ExtensionField, "vmul", None)
+    assert ccma.brute_force_symmetric_rank(2, 2, 3) == 3
+    assert ccma.brute_force_symmetric_rank(3, 2, 2) is None
 
 
 def _exhaustive_reference(formula):

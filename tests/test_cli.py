@@ -216,6 +216,16 @@ def test_tensor_mode(tmp_path, capsys):
     assert code == 1 and "status=fail" in out and "mode=tensor" in out and "failure=(" in out
 
 
+def test_construct_negative_seed_exit3_before_building(capsys, monkeypatch):
+    def never(*args, **kwargs):
+        pytest.fail("construct built a formula for a bad seed")
+
+    monkeypatch.setattr(cli.ccma, "construct_case1", never)
+    code, out = run(capsys, "construct", "--q", "4", "--n", "2", "--seed", "-3")
+    assert code == 3 and out == ("status=bad-input "
+                                 "detail=seed must be a non-negative int, got -3\n")
+
+
 def test_verify_negative_seed_exit3(tmp_path, capsys):
     # --seed -3 would draw the pairs of --seed 3 and report seed=-3
     f = str(tmp_path / "f42.json")
