@@ -9,8 +9,8 @@ Constructors realize the two effective cases of the interpolation theorem on
 genus-0 and genus-1 curves: evaluation at rational points only (rank
 2n+g-1), or at rational points plus degree-2 places whose local products are
 expanded through the canonical rank-3 formula for F_(q^2)/F_q (rank at most
-3n+6g).  A composition operator multiplies formulas along a tower, and a
-small brute-force oracle computes exact symmetric ranks for tiny tensors.
+3n+6g).  A composition operator multiplies formulas along a tower, and an
+exact search computes symmetric ranks for tiny tensors.
 """
 
 import functools
@@ -872,45 +872,71 @@ def compose(outer, inner, verify_mode="tensor", pairs=DEFAULT_SAMPLES, seed=0):
 # ---------------------------------------------------------------------------
 
 def brute_force_symmetric_rank(q, n, max_rank):
-    """Exact symmetric rank of the multiplication tensor, up to max_rank.
-
-    Linear forms are normalized projectively (first nonzero coordinate 1) and
-    term sets are strictly increasing, which removes all scaling and ordering
-    symmetry; with the forms fixed, the constants satisfy a linear system, so
-    each candidate set costs one exact solve.  Returns the minimum rank, or
-    None if every set up to max_rank fails (a certified lower bound of
-    max_rank + 1).
-    """
+    """Exact symmetric rank of the multiplication tensor (_rank_search), or
+    None if it exceeds max_rank: a certified lower bound of max_rank + 1.
+    The guard is the size of the search over every set of forms that this
+    one replaced, kept so that refusals do not change: (2, 2, 99) is
+    refused, though the rank is 3."""
     if max_rank < 1:
         raise ValueError("max_rank must be >= 1, got %d" % max_rank)
     tower = FieldTower.canonical(q, n)
-    Fq = tower.base_field
     nforms = (q ** n - 1) // (q - 1)
     if (nforms ** max_rank) * ((q ** n - 1) ** max_rank) > 10 ** 9:
         raise BudgetExceededError("brute-force search space exceeds budget")
-    forms = []
-    for idx in range(1, q ** n):
-        vec = tuple(gf._raw_from_int(Fq, idx, n))
-        lead = next(i for i, v in enumerate(vec) if v)
-        if vec[lead] == Fq.one_index:
-            forms.append(vec)
-    E, powers = tower.ext_field, _power_indices(tower.ext_field)
+    return _rank_search(tower, max_rank)
+
+
+def _rank_search(tower, max_rank):
+    """Depth-first search, with no budget, for the fewest projective forms
+    l_i (first nonzero coordinate 1) whose vectors (l_i(e_j) l_i(e_k))_(j<=k)
+    span over F_q the n coordinate vectors of (t^(j+k))_(j<=k), so that the
+    constants exist.  A node keeps its set's echelon and these targets
+    reduced by it.  A form already in the span is skipped: without it a set
+    spans the same.  forms[0] is in every set: l -> l o m_a, m_a(x) = a*x,
+    is regular on nonzero forms and maps a formula to one with c -> c/a^2."""
+    Fq, E, n = tower.base_field, tower.ext_field, tower.n
+    mul, sub = Fq.mul, Fq.sub
     pairs = [(j, k) for j in range(n) for k in range(j, n)]
-    rhs = [E.value_of(powers[j + k]) for j, k in pairs]
-    for r in range(1, max_rank + 1):
-        for combo in itertools.combinations(forms, r):
-            mat = []
-            for (j, k) in pairs:
-                mat.append([Fq.mul(f[j], f[k]) for f in combo])
-            ok = True
-            for slot in range(n):
-                b = [want[slot] for want in rhs]
-                if linalg.solve(Fq, mat, b) is None:
-                    ok = False
-                    break
-            if ok:
-                return r
-    return None
+    powers = [E.value_of(i) for i in _power_indices(E)]
+    targets = [[powers[j + k][s] for j, k in pairs] for s in range(n)]
+    vecs = [[mul(f[j], f[k]) for j, k in pairs]
+            for f in (gf._raw_from_int(Fq, i, n) for i in range(1, E.size))
+            if next(filter(None, f)) == Fq.one_index]
+    if Fq.size == 2:  # bit masks, eliminated by XOR
+        vecs, targets = ([sum(x << c for c, x in enumerate(v)) for v in vs]
+                         for vs in (vecs, targets))
+        zero, lead = 0, lambda v: (v & -v, v)
+        reduce = lambda v, piv, row: v ^ row if v & piv else v
+    else:
+        zero = [0] * len(pairs)
+
+        def reduce(v, piv, row):
+            c = v[piv]
+            return [sub(x, mul(c, y)) for x, y in zip(v, row)] if c else v
+
+        def lead(v):
+            piv = next(c for c, x in enumerate(v) if x)
+            inv = Fq.inv(v[piv])
+            return piv, [mul(inv, x) for x in v]
+    best = max_rank + 1
+
+    def visit(i, ech, rest):
+        nonlocal best
+        v = vecs[i]
+        for piv, row in ech:
+            v = reduce(v, piv, row)
+        if v == zero:
+            return
+        ech = ech + [lead(v)]
+        rest = [t for t in (reduce(t, *ech[-1]) for t in rest) if t != zero]
+        if not rest:
+            best = len(ech)
+        elif len(ech) + 1 < best:
+            for j in range(i + 1, len(vecs)):
+                visit(j, ech, rest)
+
+    visit(0, [], targets)
+    return best if best <= max_rank else None
 
 
 # ---------------------------------------------------------------------------

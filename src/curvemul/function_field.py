@@ -983,19 +983,24 @@ class EllipticCurve:
 # ---------------------------------------------------------------------------
 
 class CatalogEntry:
-    """A curve with N1, which is counted, and N2, the number of degree-2
-    places, which follows from N1 through the zeta function: with
+    """A curve, given by its field and coefficient indices a and built on
+    first use of .curve, with N1, which is counted, and N2, the number of
+    degree-2 places, which follows from N1 through the zeta function: with
     t = q + 1 - N1, #E(F_(q^2)) = q^2 + 1 - (t^2 - 2q) (weil_counts at
     k = 2), and N2 = (#E(F_(q^2)) - N1) / 2."""
 
-    __slots__ = ("curve", "n1", "n2")
+    __slots__ = ("field", "a", "n1", "n2", "_curve")
 
-    def __init__(self, curve, n1):
-        q = curve.field.size
-        t = q + 1 - n1
-        self.curve = curve
-        self.n1 = n1
+    def __init__(self, field, a, n1):
+        q, t = field.size, field.size + 1 - n1
+        self.field, self.a, self.n1, self._curve = field, a, n1, None
         self.n2 = (q * q + 1 - t * t + 2 * q - n1) // 2
+
+    @property
+    def curve(self):
+        if self._curve is None:
+            self._curve = _curve(self.field, self.a)
+        return self._curve
 
     def __repr__(self):
         return "CatalogEntry(%r, N1=%d, N2=%d)" % (self.curve, self.n1, self.n2)
@@ -1081,13 +1086,18 @@ def _sweep(F):
 
 def curve_search(field, min_n1):
     """Genus-1 curves over the field with N1 >= min_n1, sorted by N1
-    descending then by coefficient tuple.  N1 is counted; N2 follows from it
-    through the zeta function (weil_counts)."""
+    descending then by coefficient tuple: each N1's bucket is one or two
+    ascending runs of the sweep, which sort merges.  N1 is counted; N2
+    follows from it through the zeta function (weil_counts)."""
     q = field.size
     if q > CATALOG_Q_LIMIT:
         raise BudgetExceededError("curve search supports q <= %d" % CATALOG_Q_LIMIT)
-    found = sorted((-n1, coeffs) for coeffs, n1 in _sweep(field) if n1 >= min_n1)
-    return [CatalogEntry(_curve(field, coeffs), -m) for m, coeffs in found]
+    buckets = {}
+    for coeffs, n1 in _sweep(field):
+        if n1 >= min_n1:
+            buckets.setdefault(n1, []).append(coeffs)
+    return [CatalogEntry(field, a, n1) for n1 in sorted(buckets, reverse=True)
+            for a in sorted(buckets[n1])]
 
 
 @functools.cache
@@ -1110,16 +1120,16 @@ def best_stat_curves(field):
             best_flat = (t, coeffs, n1)
         if best_n1[0] == hmax and best_flat[0] == 0:
             break
-    return [CatalogEntry(_curve(field, coeffs), n1) for _, coeffs, n1 in (best_n1, best_flat)]
+    return [CatalogEntry(field, coeffs, n1) for _, coeffs, n1 in (best_n1, best_flat)]
 
 
 def catalog_rows(entries):
     """Delimited export: p, q, the coefficients as element indices, genus, N1, N2."""
     rows = []
     for e in entries:
-        F = e.curve.field
+        F = e.field
         rows.append("%d,%d,%s,1,%d,%d"
-                    % (F.char, F.size, ";".join(str(c) for c in e.curve.a), e.n1, e.n2))
+                    % (F.char, F.size, ";".join(map(str, e.a)), e.n1, e.n2))
     return rows
 
 

@@ -10,6 +10,7 @@ in a local parameter (the library works with congruences over F_q[x]
 instead).
 """
 
+import itertools
 import math
 
 from curvemul import gf, linalg
@@ -500,3 +501,29 @@ def tensor_reference(formula):
             if acc != E.vmul(basis[j], basis[k]):
                 return False, checked, (E.index_of(basis[j]), E.index_of(basis[k]))
     return True, checked, None
+
+
+def symmetric_rank_reference(q, n, max_rank):
+    """Exact symmetric rank of the multiplication tensor of F_(q^n)/F_q up
+    to max_rank, or None, as ccma.brute_force_symmetric_rank found it before
+    its depth-first search: every strictly increasing set of projective forms
+    (first nonzero coordinate 1), with no symmetry fixed, and for each set one
+    linalg.solve per coordinate s of the constants, whose right-hand side is
+    (e_j*e_k)_s over the pairs j <= k, multiplied by E.vmul."""
+    tower = gf.FieldTower.canonical(q, n)
+    Fq, E = tower.base_field, tower.ext_field
+    forms = []
+    for idx in range(1, q ** n):
+        vec = tuple(gf._raw_from_int(Fq, idx, n))
+        lead = next(i for i, v in enumerate(vec) if v)
+        if vec[lead] == Fq.one_index:
+            forms.append(vec)
+    pairs = [(j, k) for j in range(n) for k in range(j, n)]
+    rhs = [E.vmul(E.value_of(q ** j), E.value_of(q ** k)) for j, k in pairs]
+    for r in range(1, max_rank + 1):
+        for combo in itertools.combinations(forms, r):
+            mat = [[Fq.mul(f[j], f[k]) for f in combo] for j, k in pairs]
+            if all(linalg.solve(Fq, mat, [want[slot] for want in rhs]) is not None
+                   for slot in range(n)):
+                return r
+    return None

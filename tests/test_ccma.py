@@ -11,10 +11,10 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from curvemul import ccma, gf
+from curvemul import bounds, ccma, gf, linalg
 from curvemul.gf import FieldTower, prime_field, canonical_extension, find_irreducible
 from curvemul.function_field import curve_search, BudgetExceededError, EllipticCurve
-from invariants import tensor_reference
+from invariants import symmetric_rank_reference, tensor_reference
 
 
 def schoolbook_formula(q, n):
@@ -310,7 +310,9 @@ def test_compose_tower_mismatch():
         ccma.compose(inner, inner)
 
 
-def test_brute_force_rank():
+def test_brute_force_rank(monkeypatch):
+    # the search eliminates on one incremental echelon, without a solve per set
+    monkeypatch.setattr(linalg, "solve", None)
     assert ccma.brute_force_symmetric_rank(2, 2, 4) == 3
     assert ccma.brute_force_symmetric_rank(3, 2, 4) == 3
     assert ccma.brute_force_symmetric_rank(2, 1, 1) == 1
@@ -338,6 +340,65 @@ def test_brute_force_never_exceeds_constructed_rank():
     for q, n in ((2, 2), (3, 2), (4, 2)):
         constructed = ccma.construct_case1(q, n).rank
         assert ccma.brute_force_symmetric_rank(q, n, 4) <= constructed
+
+
+def _admitted_ranks():
+    """(q, n, max_rank) for q <= 9 and 2 <= n <= 4, with every max_rank from
+    1 up to the largest that the budget guard admits."""
+    cases = []
+    for q in (2, 3, 4, 5, 7, 8, 9):
+        for n in (2, 3, 4):
+            nforms, units = (q ** n - 1) // (q - 1), q ** n - 1
+            cases += [(q, n, r) for r in range(1, 10) if (nforms * units) ** r <= 10 ** 9]
+    return cases
+
+
+@pytest.mark.parametrize("q,n,max_rank", _admitted_ranks())
+def test_rank_search_matches_reference(q, n, max_rank):
+    """The search with both cuts returns what the search over every set of
+    projective forms returns, on every instance the guard admits."""
+    assert ccma.brute_force_symmetric_rank(q, n, max_rank) == symmetric_rank_reference(q, n, max_rank)
+
+
+def test_budget_guard_bounds_the_admitted_ranks():
+    """The guard is the old search's size, so it refuses the max_rank just
+    past each admitted range, although the search could answer it."""
+    top = {}
+    for q, n, r in _admitted_ranks():
+        top[q, n] = max(top.get((q, n), 0), r)
+    assert len(_admitted_ranks()) == 58
+    for (q, n), r in top.items():
+        with pytest.raises(BudgetExceededError):
+            ccma.brute_force_symmetric_rank(q, n, r + 1)
+    with pytest.raises(BudgetExceededError):
+        ccma.brute_force_symmetric_rank(2, 2, 99)
+
+
+@pytest.mark.parametrize("q,n", sorted({(q, n) for q, n, _ in _admitted_ranks()}))
+def test_first_form_orbit_covers_every_projective_form(q, n):
+    """The search puts forms[0] in every set because l -> l o m_a,
+    m_a(x) = a*x, acts regularly on nonzero forms: over a in F_(q^n)^*, the
+    forms l0 o m_a are distinct, and normalised they are every projective
+    form.  forms[0] = l0 is the form of index 1, the coordinate of e_0."""
+    tower = FieldTower.canonical(q, n)
+    Fq, E = tower.base_field, tower.ext_field
+    # (l0 o m_a)(e_j) is coordinate 0 of a*e_j, and e_j has index q^j
+    orbit = {tuple(E.mul(a, q ** j) % q for j in range(n)) for a in range(1, E.size)}
+    assert len(orbit) == E.size - 1 and (0,) * n not in orbit
+
+    def normalised(f):
+        inv = Fq.inv(next(filter(None, f)))
+        return tuple(Fq.mul(inv, x) for x in f)
+    forms = {f for f in (tuple(gf._raw_from_int(Fq, i, n)) for i in range(1, E.size))
+             if next(filter(None, f)) == Fq.one_index}
+    assert {normalised(f) for f in orbit} == forms
+
+
+def test_rank_search_past_the_guard():
+    """Without the guard the search finds mu_sym_2(3) = 6, the rank floor,
+    attained by the degree-2-place construction."""
+    assert ccma._rank_search(FieldTower.canonical(2, 3), 6) == 6
+    assert bounds.rank_floor(2, 3) == 6 == ccma.construct_case3(2, 3).rank
 
 
 def test_quadratic_formula_fixed_per_q():

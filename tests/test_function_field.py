@@ -642,6 +642,20 @@ def test_weierstrass_coefficients_are_indices_or_elements():
             EllipticCurve(F4, 0, 0, bad, 0, 0)
 
 
+def test_catalog_entries_build_curves_on_first_use():
+    """An entry holds its field, coefficient indices and N1, and builds its
+    curve once, on first .curve use; the export reads no curve.  The per-N1
+    buckets come out in coefficient order also in characteristic 2 above
+    q = 8, where the sweep runs the two normal forms one after the other."""
+    F16 = gf.canonical_field(16)
+    entries = curve_search(F16, 0)
+    assert [(-e.n1, e.a) for e in entries] == sorted((-e.n1, e.a) for e in entries)
+    catalog_rows(entries)
+    assert all(e._curve is None for e in entries)
+    e = entries[0]
+    assert e.curve is e.curve and e.curve.field is F16 and e.curve.a == e.a
+
+
 def test_catalog_rows_format():
     rows = catalog_rows(curve_search(F2, 5))
     assert rows[0].startswith("2,2,") and rows[0].endswith(",1,5,0")
