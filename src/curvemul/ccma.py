@@ -892,8 +892,9 @@ def _rank_search(tower, max_rank):
     span over F_q the n coordinate vectors of (t^(j+k))_(j<=k), so that the
     constants exist.  A node keeps its set's echelon and these targets
     reduced by it.  A form already in the span is skipped: without it a set
-    spans the same.  forms[0] is in every set: l -> l o m_a, m_a(x) = a*x,
-    is regular on nonzero forms and maps a formula to one with c -> c/a^2."""
+    spans the same.  The first form is in every set: l -> l o m_a, with
+    m_a(x) = a*x, is regular on nonzero forms and maps a formula to one with
+    c -> c/a^2."""
     Fq, E, n = tower.base_field, tower.ext_field, tower.n
     mul, sub = Fq.mul, Fq.sub
     pairs = [(j, k) for j in range(n) for k in range(j, n)]

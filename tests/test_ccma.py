@@ -376,10 +376,10 @@ def test_budget_guard_bounds_the_admitted_ranks():
 
 @pytest.mark.parametrize("q,n", sorted({(q, n) for q, n, _ in _admitted_ranks()}))
 def test_first_form_orbit_covers_every_projective_form(q, n):
-    """The search puts forms[0] in every set because l -> l o m_a,
+    """The search puts its first form l0 in every set because l -> l o m_a,
     m_a(x) = a*x, acts regularly on nonzero forms: over a in F_(q^n)^*, the
     forms l0 o m_a are distinct, and normalised they are every projective
-    form.  forms[0] = l0 is the form of index 1, the coordinate of e_0."""
+    form.  l0 is the form of index 1, the coordinate of e_0."""
     tower = FieldTower.canonical(q, n)
     Fq, E = tower.base_field, tower.ext_field
     # (l0 o m_a)(e_j) is coordinate 0 of a*e_j, and e_j has index q^j
