@@ -11,6 +11,11 @@ genus-0 and genus-1 curves: evaluation at rational points only (rank
 expanded through the canonical rank-3 formula for F_(q^2)/F_q (rank at most
 3n+6g).  A composition operator multiplies formulas along a tower, and an
 exact search computes symmetric ranks for tiny tensors.
+
+The forms x -> (x_1*(x), ..., x_r*(x)), the reconstruction
+(s_t) -> sum_t s_t c_t and composition's change of coordinates are F_p-linear
+in the base-p digits of element indices; verification and composition apply
+them through gf.linear_reader.
 """
 
 import functools
@@ -150,9 +155,9 @@ def verify(formula, mode="auto", pairs=DEFAULT_SAMPLES, seed=0):
     mode 'tensor' proves the identity for every (q, n): both sides are
     symmetric and F_q-bilinear, so it suffices to check the n(n+1)/2 basis
     pairs e_j*e_k with j <= k.  The proof runs on element indices: it reads
-    each e_j*e_k = t^(j+k) from the reduction rows of E's modulus and sums
-    the left-hand side on the base-p digits of the products
-    x_t*(e_j) x_t*(e_k), with no product of coefficient tuples
+    each e_j*e_k = t^(j+k) from the reduction rows of E's modulus and maps
+    the products x_t*(e_j) x_t*(e_k) to the left-hand side through one
+    F_p-linear reader, with no product of coefficient tuples
     (_verify_tensor).  Mode 'exhaustive' sweeps all q^(2n) pairs and
     refuses when q^n > 256; mode 'sampled' checks `pairs` seeded random
     pairs; 'auto' picks whichever of these two is affordable.  The scans are
@@ -204,141 +209,55 @@ def _power_indices(E):
     return [q ** m for m in range(n)] + [E.index_of(row) for row in E._red_rows[:n - 1]]
 
 
-def _slots(p, count, bound):
-    """(pack, unpack) for vectors of `count` F_p coordinates held in one int,
-    one slot each, wide enough that integer sums of packed vectors up to
-    `bound` per slot cannot carry; unpack reduces each slot mod p."""
-    width = bound.bit_length()
-    shifts, mask = range(0, count * width, width), (1 << width) - 1
-
-    def pack(vec):
-        return sum(v << sh for v, sh in zip(vec, shifts))
-
-    def unpack(acc):
-        return tuple((acc >> sh & mask) % p for sh in shifts)
-    return pack, unpack
+def _term_reader(formula, reads):
+    """read(S) = the index of sum_t s_t c_t in F_(q^n), for S = sum_t s_t q^t
+    with s_t in F_q.  The map is F_p-linear in the base-p digits of S: digit
+    v of s_t stands for g^v (the index p^v of F_q), whose image is g^v c_t.
+    It reads F_q's mul and the constants, none of E's ops or tables."""
+    tower = formula.tower
+    Fq, E = tower.base_field, tower.ext_field
+    images = [E.index_of(tuple(Fq.mul(tower.p ** v, cc) for cc in c))
+              for _, c in formula.terms for v in range(Fq.degree)]
+    return gf.linear_reader(tower.p, images, reads)
 
 
 def _verify_tensor(formula):
     """The proof on the basis pairs (j, k), j <= k, in row-major order.
 
-    s_t = x_t*(e_j) x_t*(e_k) is an element of F_q, and s_t c_t is F_p-linear
-    in its base-p digits, so sum_t s_t c_t is a sum of the images of
-    g^v c_t (g the generator of F_q over F_p, v < deg F_q), one per digit,
-    computed once per term.  In characteristic 2 the images are indices of
-    E and a pair's sum is one XOR per set bit of s_t; in odd characteristic
-    they are E's digits packed in slots wide enough that a pair's sum cannot
-    carry, and each slot is reduced mod p once per pair.  The sum is
-    compared with t^(j+k) (_power_indices), as an index or as its digits."""
+    s_t = x_t*(e_j) x_t*(e_k) is the product in F_q of column j and column
+    k of the forms, and sum_t s_t c_t is one read of _term_reader on
+    sum_t s_t q^t, in every characteristic.  It is compared with the index
+    of t^(j+k) (_power_indices)."""
     tower = formula.tower
-    Fq, E = tower.base_field, tower.ext_field
-    p, q, n, s = tower.p, Fq.size, tower.n, Fq.degree
-    fmul = Fq.mul
-    images = [[E.index_of(tuple(fmul(p ** v, cc) for cc in c)) for v in range(s)]
-              for _, c in formula.terms]
-    powers = _power_indices(E)
-    if p == 2:
-        def lhs(j, k):
-            acc = 0
-            for (xs, _), imgs in zip(formula.terms, images):
-                d = fmul(xs[j], xs[k])
-                for img in imgs:
-                    if not d:
-                        break
-                    if d & 1:
-                        acc ^= img
-                    d >>= 1
-            return acc
-    else:
-        pack, unpack = _slots(p, E.degree, formula.rank * s * (p - 1) ** 2)
-        Fp = prime_field(p)
-        images = [[pack(gf._raw_from_int(Fp, i, E.degree)) for i in imgs] for imgs in images]
-        powers = [tuple(gf._raw_from_int(Fp, i, E.degree)) for i in powers]
-
-        def lhs(j, k):
-            acc = 0
-            for (xs, _), imgs in zip(formula.terms, images):
-                d = fmul(xs[j], xs[k])
-                for img in imgs:
-                    if not d:
-                        break
-                    d, digit = divmod(d, p)
-                    acc += digit * img
-            return unpack(acc)
+    Fq, n = tower.base_field, tower.n
+    fmul, weights = Fq.mul, [Fq.size ** t for t in range(formula.rank)]
+    cols = [[xs[j] for xs, _ in formula.terms] for j in range(n)]  # cols[j][t] = x_t*(e_j)
+    read, powers = _term_reader(formula, n * (n + 1) // 2), _power_indices(tower.ext_field)
     checked = 0
     for j in range(n):
         for k in range(j, n):
             checked += 1
-            if lhs(j, k) != powers[j + k]:
+            if read(sum(map(operator.mul, map(fmul, cols[j], cols[k]), weights))) != powers[j + k]:
                 return VerificationReport(False, "tensor", checked,
-                                          first_failure=(q ** j, q ** k))
+                                          first_failure=(powers[j], powers[k]))
     return VerificationReport(True, "tensor", checked)
 
 
 def _unit_values(formula):
-    """[x_t*(e) for each term t] for each unit index e = p^j of F_(q^n):
-    the forms' values on the F_p-basis that the index digits count."""
+    """[sum_t x_t*(e) q^t] for each unit index e = p^j of F_(q^n): the forms'
+    values on the F_p-basis that the index digits count, as the base-q
+    digits of one int."""
     Fq, p = formula.tower.base_field, formula.tower.p
     s = Fq.degree
-    return [[Fq.mul(xs[j // s], p ** (j % s)) for xs, _ in formula.terms]
+    return [sum(Fq.mul(xs[j // s], p ** (j % s)) * Fq.size ** t
+                for t, (xs, _) in enumerate(formula.terms))
             for j in range(formula.tower.ext_field.degree)]
 
 
-def _form_reader(formula):
-    """read(i) = [x_t*(x) for each term t] as F_q indices, where i is the
-    index of x in F_(q^n) of odd characteristic, by one table lookup per
-    chunk of i's digits.
-
-    x -> (x_1*(x), ..., x_r*(x)) is F_p-linear in the base-p digits of i.
-    A chunk is as many digits as keep its table at <= 256 entries (one
-    digit when p > 256).  Its table maps the chunk to one int that holds
-    every F_p digit of every form value in its own bit field, built from the
-    forms' values on the unit indices p^j.  The chunks' ints are added as
-    plain ints, with fields wide enough that the sum cannot carry, and each
-    digit is reduced mod p once when unpacking.
-    """
-    Fq, p = formula.tower.base_field, formula.tower.p
-    s, units = Fq.degree, _unit_values(formula)
-    k = 1
-    while p ** (k + 1) <= 256:
-        k += 1
-    width = (-(-len(units) // k) * k * (p - 1) ** 2).bit_length()
-    shifts = range(0, formula.rank * s * width, width)  # digit f % s of form f // s
-    tables = []
-    for c in range(0, len(units), k):
-        table = [0]
-        for vals in units[c:c + k]:
-            u = sum(vals[f // s] // p ** (f % s) % p << sh for f, sh in enumerate(shifts))
-            table = [a + d * u for d in range(p) for a in table]
-        tables.append(table)
-    base, mask, weights = p ** k, (1 << width) - 1, [p ** (f % s) for f in range(len(shifts))]
-
-    def read(i):
-        acc = 0
-        for table in tables:
-            i, c = divmod(i, base)
-            acc += table[c]
-        vals = [(acc >> sh & mask) % p * w for sh, w in zip(shifts, weights)]
-        return vals if s == 1 else [sum(vals[f:f + s]) for f in range(0, len(vals), s)]
-    return read
-
-
-def _term_sum(formula):
-    """term_sum(a, b) = index of sum_t a_t*b_t*c_t, for form values a and b
-    as read by _form_reader, through one table of s*c_t per term."""
-    E = formula.tower.ext_field
-    fmul, add = E.base.mul, E.add
-    scaled = [[E.index_of(tuple(fmul(s, cc) for cc in c)) for s in range(E.base.size)]
-              for _, c in formula.terms]
-
-    def term_sum(a, b):
-        acc = 0
-        for x, y, sc in zip(a, b, scaled):
-            s = fmul(x, y)
-            if s:
-                acc = add(acc, sc[s])
-        return acc
-    return term_sum
+def _form_reader(formula, reads):
+    """read(i) = sum_t x_t*(x) q^t, the forms' values at the element x of
+    index i: a gf.linear_reader over _unit_values."""
+    return gf.linear_reader(formula.tower.p, _unit_values(formula), reads)
 
 
 def _sliced_check(formula):
@@ -346,17 +265,16 @@ def _sliced_check(formula):
     for the pair in lane k, given the planes X of the x's and Y of the y's
     of a block of pairs (characteristic 2; see gf.sliced_product).
 
-    Bit v of a form value a_t = x_t*(x) is the XOR of the planes of x that
-    the unit values select.  a_t*b_t is taken before reduction mod m, as
-    the coefficients of g^0 .. g^(2s-2), and bit j of sum_t a_t b_t c_t is
-    the XOR of the coefficients (t, k) whose g^k c_t has bit j.  The
-    right-hand side is gf.sliced_product over F_(q^n)."""
+    Bit v of a form value a_t = x_t*(x) is the XOR of the planes of x whose
+    unit values have bit t*s + v set.  a_t*b_t is taken before reduction
+    mod m, as the coefficients of g^0 .. g^(2s-2), and bit j of
+    sum_t a_t b_t c_t is the XOR of the coefficients (t, k) whose g^k c_t
+    has bit j.  The right-hand side is gf.sliced_product over F_(q^n)."""
     tower = formula.tower
     Fq, E = tower.base_field, tower.ext_field
     s, units = Fq.degree, _unit_values(formula)
     w = 2 * s - 1
-    forms = [[j for j, vals in enumerate(units) if vals[t] >> v & 1]
-             for t in range(formula.rank) for v in range(s)]
+    forms = [[j for j, u in enumerate(units) if u >> f & 1] for f in range(formula.rank * s)]
     triples = [(t * w + u + v, t * s + u, t * s + v)
                for t in range(formula.rank) for u in range(s) for v in range(s)]
     scaled = [E.index_of(tuple(Fq.mul(Fq.pow_(2, k), cc) for cc in c))
@@ -419,10 +337,13 @@ def _verify_scan(formula, mode, pairs, seed):
     planes of its numbers, whose low E.degree bits are y and whose high bits
     are x: consecutive numbers are counted up (_counting_planes), and drawn
     ones are packed into whole-byte lanes and cut by gf.bit_planes.
-    In odd characteristic the pairs go one by one through _form_reader and
-    _term_sum, against E.mul (exhaustive, which reads each element's forms
-    once up front) or E.direct_mul, which reads none of E's tables
-    (sampled)."""
+    In odd characteristic the pairs go one by one: _form_reader reads the
+    forms' values at x and at y, their products in F_q go through
+    _term_reader, and neither reads E's ops.  'exhaustive' reads each
+    element's forms once up front, takes the products from one table of
+    q^2 <= q^(2n) entries per term, and compares with E.mul; 'sampled'
+    multiplies with F_q's mul and compares with E.direct_mul, which reads
+    none of E's tables."""
     E = formula.tower.ext_field
     size = E.size
     if mode == "exhaustive":
@@ -442,16 +363,23 @@ def _verify_scan(formula, mode, pairs, seed):
             diff = differ(planes[bits:], planes[:bits])
             return (diff & -diff).bit_length() - 1 if diff else None
     else:
-        read, term_sum = _form_reader(formula), _term_sum(formula)
-        if mode == "exhaustive":
-            rhs, read = E.mul, list(map(read, range(size))).__getitem__
+        Fq, q = formula.tower.base_field, formula.tower.q
+        weights = [q ** t for t in range(formula.rank)]
+        read, terms = _form_reader(formula, min(size, 2 * total)), _term_reader(formula, total)
+        digits = functools.partial(gf._raw_from_int, Fq, length=formula.rank)
+        if mode == "exhaustive":  # rows[t][a][b] = a*b*q^t
+            rows = [[[Fq.mul(a, b) * w for b in range(q)] for a in range(q)] for w in weights]
+            forms = [digits(read(x)) for x in range(size)]
+            picks = [[rows[t][a] for t, a in enumerate(f)] for f in forms]
+            rhs, products = E.mul, lambda x, y: sum(map(list.__getitem__, picks[x], forms[y]))
         else:
-            rhs = E.direct_mul()
+            rhs, products = E.direct_mul(), lambda x, y: sum(
+                map(operator.mul, map(Fq.mul, digits(read(x)), digits(read(y))), weights))
 
         def first_wrong(block):
             for k, v in enumerate(block):
                 x, y = divmod(v, size)
-                if term_sum(read(x), read(y)) != rhs(x, y):
+                if terms(products(x, y)) != rhs(x, y):
                     return k
     for start in range(0, total, BLOCK):
         count = min(BLOCK, total - start)
@@ -778,11 +706,12 @@ def compose(outer, inner, verify_mode="tensor", pairs=DEFAULT_SAMPLES, seed=0):
     The composed formula lives on the flattened canonical tower; the stacked
     field is identified with it through the smallest roots of the defining
     polynomials, which gf.roots finds without scanning the composed field.
-    Each outer constant is mapped into the composed field once, and each
-    inner term's part of the coordinate change, blocks * Minv, is one packed
-    row per coordinate, so a composed form costs n multiples of packed ints
-    and one reduction mod p per coordinate.  A bad seed is refused before
-    any work; the result is checked as in construct_case1.
+    Each outer constant is mapped into the composed field once.  The
+    coordinate change is F_p-linear on index digits: a gf.linear_reader over
+    the rows of Minv takes each inner term's n rows of blocks * Minv, and a
+    reader over those rows takes each outer form to a composed form, one
+    read per outer term.  A bad seed is refused before any work; the result
+    is checked as in construct_case1.
     """
     check_seed(seed)
     E = outer.tower.ext_field
@@ -804,18 +733,12 @@ def compose(outer, inner, verify_mode="tensor", pairs=DEFAULT_SAMPLES, seed=0):
         return out
 
     rho_pows = powers(gf.roots(C, outer.tower.ext_poly.coeffs)[0], n)
-
-    def iota(v):
-        """The element of C that the value v of E (coefficients over F_p in
-        the power basis of rho) stands for."""
-        acc = 0
-        for coeff, rp in zip(v, rho_pows):
-            if coeff:
-                acc = C.add(acc, C.mul(coeff, rp))
-        return acc
+    # iota: the index in C of the element of E of a given index, whose digits
+    # are its coefficients over F_p in the power basis of rho
+    iota = gf.linear_reader(p, rho_pows, m + 1 + outer.rank + m * inner.rank)
 
     # inner ext polynomial mapped through iota, then its smallest root u in C
-    u_pows = powers(gf.roots(C, [iota(E.value_of(c)) for c in inner.tower.ext_poly.coeffs])[0], m)
+    u_pows = powers(gf.roots(C, [iota(c) for c in inner.tower.ext_poly.coeffs])[0], m)
 
     # basis u^a rho^b of C over F_p, stacked coordinates k = a*n + b
     M = []
@@ -825,9 +748,8 @@ def compose(outer, inner, verify_mode="tensor", pairs=DEFAULT_SAMPLES, seed=0):
     Mcols = [list(col) for col in zip(*M)]  # columns indexed by (a, b)
     Minv = linalg.invert(Fp, Mcols)
 
-    # a coordinate of a row of blocks * Minv sums n*m products in F_p
-    pack, unpack = _slots(p, n * m, n * m * (p - 1) ** 2)
-    Minv_rows = [pack(row) for row in Minv]
+    # v -> v * Minv on indices of F_p-vectors of length n*m, read n times per inner term
+    times_Minv = gf.linear_reader(p, [C.index_of(row) for row in Minv], n * inner.rank)
     units = [E.value_of(p ** b) for b in range(n)]
 
     @functools.cache
@@ -836,22 +758,19 @@ def compose(outer, inner, verify_mode="tensor", pairs=DEFAULT_SAMPLES, seed=0):
         ev = E.value_of(e_idx)
         return list(zip(*(E.vmul(ev, unit) for unit in units)))
 
-    c_Cs = [iota(c_val) for _, c_val in outer.terms]
+    c_Cs = [iota(E.index_of(c_val)) for _, c_val in outer.terms]
     terms = []
     for ustar, d_val in inner.terms:
         d_C = 0
         for a in range(m):
-            d_C = C.add(d_C, C.mul(iota(E.value_of(d_val[a])), u_pows[a]))
-        # xstar = vstar * blocks * Minv with the m blocks side by side;
-        # rows[i] is row i of blocks * Minv, once per inner term
+            d_C = C.add(d_C, C.mul(iota(d_val[a]), u_pows[a]))
+        # xstar = vstar * blocks * Minv with the m blocks side by side: a
+        # reader over the rows of blocks * Minv, once per inner term
         blocks = [mul_matrix(ustar[a]) for a in range(m)]
-        rows = []
-        for i in range(n):
-            stacked = [v for mat in blocks for v in mat[i]]
-            rows.append(pack(unpack(sum(v * r for v, r in zip(stacked, Minv_rows) if v))))
+        form = gf.linear_reader(p, [times_Minv(C.index_of([v for mat in blocks for v in mat[i]]))
+                                    for i in range(n)], outer.rank)
         for (vstar, _), c_C in zip(outer.terms, c_Cs):
-            xstar = unpack(sum(v * row for v, row in zip(vstar, rows) if v))
-            terms.append((xstar, C.value_of(C.mul(c_C, d_C))))
+            terms.append((C.value_of(form(E.index_of(vstar))), C.value_of(C.mul(c_C, d_C))))
 
     prov = {"method": "composed", "q": p, "n": n * m,
             "outer": outer.provenance.get("method"), "outer_n": n,

@@ -176,8 +176,8 @@ def cmd_curves(args):
         if n1 >= args.min_n1:
             print("%d,%d,,0,%d,%d" % (field.char, q, n1, n2))
         return EXIT_OK
-    for row in catalog_rows(curve_search(field, args.min_n1)):
-        print(row)
+    if rows := catalog_rows(curve_search(field, args.min_n1)):
+        sys.stdout.write("\n".join(rows) + "\n")
     return EXIT_OK
 
 

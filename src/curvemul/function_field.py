@@ -91,7 +91,8 @@ def _as_reduce(basis, img, pre):
 def _trace_form(F):
     """[mask of e_j for j < m] on F of characteristic 2, F_(2^m): bit k of
     the mask of c is Tr(c e_k), so Tr(a c) is the parity of a & mask, and
-    Tr(c) that of c & form[0] (e_0 is 1)."""
+    Tr(c) that of c & form[0] (e_0 is 1).  The mask is F_2-linear in c, so
+    gf.linear_reader(2, form, reads) reads it."""
     m, mul = F.degree, F.mul
     tr0 = 0
     for k in range(m):
@@ -102,16 +103,6 @@ def _trace_form(F):
         tr0 |= c << k  # Tr(e_k) lies in F_2: index 0 or 1
     return [sum(((mul(1 << j, 1 << k) & tr0).bit_count() & 1) << k for k in range(m))
             for j in range(m)]
-
-
-def _trace_mask(form, c):
-    """The mask M of c: Tr(a c) = parity(a & M) for every a."""
-    mask, j = 0, 0
-    while c:
-        if c & 1:
-            mask ^= form[j]
-        c, j = c >> 1, j + 1
-    return mask
 
 
 def solve_quadratic(F, a, b):
@@ -179,7 +170,7 @@ def _trace_columns(R, a1, a3):
     down its w = 3s + 1 binary digits into the columns."""
     add, mul, inv, s = R.add, R.mul, R.inv, R.degree
     form, w = _trace_form(R), 3 * s + 1
-    spec = "0%db" % w  # w binary digits, most significant first
+    mask, spec = gf.linear_reader(2, form, 3 * R.size), "0%db" % w  # w digits, top first
     row = []
     for x in range(R.size):
         h = add(mul(a1, x), a3)
@@ -187,19 +178,10 @@ def _trace_columns(R, a1, a3):
             u = inv(mul(h, h))
             c1 = mul(x, u)
             c2 = mul(x, c1)
-            row.append(format(_trace_mask(form, c2) | _trace_mask(form, c1) << s
-                              | _trace_mask(form, u) << 2 * s
+            row.append(format(mask(c2) | mask(c1) << s | mask(u) << 2 * s
                               | ((mul(x, c2) & form[0]).bit_count() & 1) << 3 * s, spec))
     digits = "".join(row)
     return len(row), [int("0" + digits[w - 1 - j::w][::-1], 2) for j in range(w)]
-
-
-def _span(cols):
-    """[XOR of cols[j] over the bits j of a, for a < 2^len(cols)]."""
-    out = [0]
-    for c in cols:
-        out += [u ^ c for u in out]
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -698,7 +680,7 @@ class EllipticCurve:
             a1, a2, a3, a4, a6 = self.a
             n, cols = _trace_columns(R, a1, a3)
             s = R.degree
-            odd = _trace_mask(cols, a2 | a4 << s | a6 << 2 * s | 1 << 3 * s).bit_count()
+            odd = gf.linear_reader(2, cols, 1)(a2 | a4 << s | a6 << 2 * s | 1 << 3 * s).bit_count()
             return 1 + R.size + n - 2 * odd
         b2, b4, b6, _ = self.b_invariants()
         return 1 + R.size + _char_sum(R, b2, b4, b6)
@@ -1075,8 +1057,8 @@ def _sweep(F):
         if (a1, a3) not in tables:
             n, cols = _trace_columns(F, a1, a3)
             s = F.degree
-            tables[a1, a3] = (1 + q + n, _span(cols[:s]), _span(cols[s:2 * s]),
-                              [u ^ cols[3 * s] for u in _span(cols[2 * s:3 * s])])
+            t2, t4, t6 = (gf.digit_table(2, cols[c:c + s]) for c in range(0, 3 * s, s))
+            tables[a1, a3] = (1 + q + n, t2, t4, [u ^ cols[3 * s] for u in t6])
         base, t2, t4, t6 = tables[a1, a3]
         t = t2[a2] ^ t4[a4]
         for a6 in range(q):
@@ -1125,11 +1107,11 @@ def best_stat_curves(field):
 
 def catalog_rows(entries):
     """Delimited export: p, q, the coefficients as element indices, genus, N1, N2."""
-    rows = []
+    rows, heads = [], {}
     for e in entries:
-        F = e.field
-        rows.append("%d,%d,%s,1,%d,%d"
-                    % (F.char, F.size, ";".join(map(str, e.a)), e.n1, e.n2))
+        if (head := heads.get(e.field)) is None:
+            head = heads[e.field] = "%d,%d," % (e.field.char, e.field.size)
+        rows.append("%s%s,1,%d,%d" % (head, ";".join(map(str, e.a)), e.n1, e.n2))
     return rows
 
 

@@ -755,6 +755,65 @@ def _char2_product(E, exp, log):
 
 
 # ---------------------------------------------------------------------------
+# F_p-linear maps on index digits
+#
+# An index is the base-p number of its element's F_p coordinates (bits in
+# characteristic 2), so an F_p-linear map between such spaces is fixed by
+# the images of the unit indices p^j, and by linearity one table per chunk
+# of digits, built from those images, applies it.
+# ---------------------------------------------------------------------------
+
+def digit_table(p, units):
+    """[sum_j a_j units[j] for a < p^len(units)], a_j the base-p digits of
+    a: an XOR over the set bits of a when p = 2, an integer sum otherwise."""
+    table = [0]
+    for u in units:
+        if p == 2:
+            table += [a ^ u for a in table]
+        else:
+            table = [a + d * u for d in range(p) for a in table]
+    return table
+
+
+def linear_reader(p, images, reads):
+    """read(i) = the index of sum_j a_j images[j] over the base-p digits a_j
+    of i: the F_p-linear map that sends the unit p^j to the index
+    images[j], as one digit_table entry per chunk of i's digits.  A chunk
+    has as many digits as keep its table at min(reads, 256) entries or
+    fewer, and at least one, so that a map read a few times builds small
+    tables.  In characteristic 2 read XORs the entries.  Otherwise a table
+    holds each output digit in a bit field wide enough that the sum of one
+    entry per chunk cannot carry, and read reduces each digit mod p once."""
+    k, weights, top = 1, [1], max(images, default=0)
+    while p ** (k + 1) <= min(reads, 256):
+        k += 1
+    while p * weights[-1] <= top:  # p^j for each digit of the largest image
+        weights.append(p * weights[-1])
+    width = (max(len(images), 1) * (p - 1) ** 2).bit_length()
+    shifts, mask = range(0, len(weights) * width, width), (1 << width) - 1
+    packed = images if p == 2 else [sum(v // w % p << sh for w, sh in zip(weights, shifts))
+                                    for v in images]
+    tables, base = [digit_table(p, packed[c:c + k]) for c in range(0, len(packed), k)], p ** k
+
+    def xor_read(i):
+        acc = 0
+        for table in tables:
+            i, c = divmod(i, base)
+            acc ^= table[c]
+        return acc
+
+    def read(i):
+        acc = out = 0
+        for table in tables:
+            i, c = divmod(i, base)
+            acc += table[c]
+        for sh in shifts[::-1]:  # the index by Horner's rule, top digit first
+            out = out * p + (acc >> sh & mask) % p
+        return out
+    return xor_read if p == 2 else read
+
+
+# ---------------------------------------------------------------------------
 # bit-sliced arithmetic in characteristic 2
 #
 # A block of L elements is held as bit planes: plane j is an int whose bit k

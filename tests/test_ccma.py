@@ -210,9 +210,9 @@ def _with_extra_term(f, form_index):
 
 # A wrong term makes an error ell(x) ell(y) c, nonzero on (1 - 1/q)^2 of the
 # pairs, so small q and several seeds put first failures beyond pair 1.  The
-# odd cases cover every chunk layout of the form reader: five-digit chunks
-# over F_3 and over F_9 (the extra term's coordinate straddles two chunks),
-# and one wide digit per chunk for the prime q = 251.  The characteristic-2
+# odd cases read the forms 120 times, in four-digit chunks over F_3 and over
+# F_9 (F_(9^3) has a short last chunk) and one wide digit per chunk for the
+# prime q = 251; test_gf checks the readers' other layouts.  The characteristic-2
 # cases are checked on bit planes over F_q of 1 bit (F_2), 2 (F_(4^9)),
 # 4 (F_16) and 8 bits (F_(256^3), and F_(256^9), whose 72-bit indices fill
 # lanes wider than 64 bits).  Blocks of 1 and 3 pairs put the first failures
@@ -258,6 +258,39 @@ def test_sampled_report_at_block_boundaries(make, offset):
     f, pairs = make(), ccma.BLOCK + offset
     rep = ccma.verify(f, "sampled", pairs=pairs, seed=5)
     assert (rep.passed, rep.pairs_checked, rep.first_failure) == _sampled_reference(f, pairs, 5)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: ccma.construct_case1(9, 3),
+    lambda: _with_extra_term(ccma.construct_case1(9, 3), 2),
+], ids=["case1-9-3", "extra-9-3"])
+def test_odd_sampled_scan_reads_none_of_the_fields_index_ops(make, monkeypatch):
+    """The odd sampled scan is a cross-check independent of E's index ops:
+    its left-hand side reads F_q's mul and the images of the constants, and
+    its right-hand side is E.direct_mul, vmul on coefficient tuples.  With
+    E's add, sub and vadd gone it returns the same report."""
+    f = make()
+    want = repr(ccma.verify(f, "sampled", pairs=300, seed=4))
+    E = f.tower.ext_field
+    for name in ("add", "sub", "vadd"):
+        monkeypatch.setitem(vars(E), name, None)
+    assert repr(ccma.verify(f, "sampled", pairs=300, seed=4)) == want
+
+
+@pytest.mark.parametrize("q,n,case", [(3, 2, 3), (2, 3, 3), (9, 3, 1), (16, 3, 1)])
+def test_formula_without_terms_fails_every_mode(q, n, case):
+    # a formula file may list no terms; it multiplies every pair to 0, so
+    # each mode reports the first pair (x, y) with x*y != 0, and none raises
+    f = (ccma.construct_case1 if case == 1 else ccma.construct_case3)(q, n)
+    data = ccma.formula_to_dict(f)
+    data["terms"], data["rank"] = [], 0
+    empty = ccma.formula_from_dict(data)
+    E = empty.tower.ext_field
+    for mode in ("tensor", "auto"):
+        rep = ccma.verify(empty, mode, pairs=10)
+        assert not rep.passed and rep.mode == ccma.verify_mode(E.size, mode, 10)
+        x, y = rep.first_failure
+        assert E.mul(x, y) != 0
 
 
 def test_sampled_rejects_nonpositive_pairs():

@@ -108,6 +108,12 @@ def test_curves_command(capsys):
     assert code == 0 and out.strip() == "2,4,,0,5,6"
 
 
+def test_curves_without_rows_prints_nothing(capsys):
+    # the rows go out in one write, and no rows write nothing, not a newline
+    code, out = run(capsys, "curves", "--q", "4", "--min-n1", "100")
+    assert code == 0 and out == ""
+
+
 def test_brute_rank_command(capsys):
     code, out = run(capsys, "brute-rank", "--q", "2", "--n", "2", "--max", "4")
     assert code == 0 and "rank=3" in out

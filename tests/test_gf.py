@@ -747,3 +747,65 @@ def test_embed_lift_and_encoding_keep_the_index_at_every_level():
         lift(F2.one())
     with pytest.raises(LevelMismatchError):
         embed(F4.one(), top)  # top is over F16, not F4
+
+
+# ---------------------------------------------------------------------------
+# F_p-linear digit readers
+# ---------------------------------------------------------------------------
+
+def _digit_sum(p, a, units):
+    """sum_j a_j units[j] over the base-p digits a_j of a, taken one digit
+    at a time: an XOR when p = 2, an integer sum otherwise."""
+    acc, j = 0, 0
+    while a:
+        a, d = divmod(a, p)
+        acc = acc ^ d * units[j] if p == 2 else acc + d * units[j]
+        j += 1
+    return acc
+
+
+def _image_digits(p, i, images, width):
+    """The index of the F_p-linear image of i, output digit by output digit:
+    digit r is sum_j a_j (digit r of images[j]) mod p."""
+    a = gf._raw_from_int(prime_field(p), i, len(images))
+    cols = [gf._raw_from_int(prime_field(p), v, width) for v in images]
+    return sum(sum(aj * col[r] for aj, col in zip(a, cols)) % p * p ** r for r in range(width))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 257])
+def test_digit_table_entries_are_digit_sums(p):
+    """Every entry, for zero to three units (two for p = 257), against the
+    sum taken digit by digit.  The units are 40-bit ints, so a carry
+    between packed fields would show."""
+    rng = random.Random(p)
+    for length in range(4 if p < 257 else 3):
+        units = [rng.getrandbits(40) for _ in range(length)]
+        table = gf.digit_table(p, units)
+        assert len(table) == p ** length
+        assert all(entry == _digit_sum(p, a, units) for a, entry in enumerate(table))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 257])
+@pytest.mark.parametrize("reads", [1, 15, 256])
+@pytest.mark.parametrize("length", [1, 3, 8, 13])
+def test_linear_reader_is_the_linear_map_of_its_images(p, reads, length):
+    """The proof rests on linearity: read adds (or XORs) one digit_table
+    entry per chunk, and every entry is a digit sum of the units' images
+    (checked in full above), so read is F_p-linear, and a linear map is
+    fixed by its values on the units.  Table entries plus read(p^j) =
+    images[j] for every unit therefore prove read equal to the map.  The
+    seeded inputs, and the input with every digit p - 1 against an image
+    with every digit p - 1, cross-check the chunking and the slot width,
+    and the identity map, whose largest image is a power of p, the count
+    of output digits.
+    The lengths give one chunk, several chunks and a short last chunk for
+    the chunk sizes that reads 1, 15 and 256 allow."""
+    width, rng = 5, random.Random(p * 1000 + reads * 20 + length)
+    top = p ** width - 1  # every output digit p - 1: the largest slot sums
+    images = [top] + [rng.randrange(p ** width) for _ in range(length - 2)] + [0][:length - 1]
+    read = gf.linear_reader(p, images, reads)
+    assert [read(p ** j) for j in range(length)] == images
+    inputs = [0, p ** length - 1] + [rng.randrange(p ** length) for _ in range(30)]
+    assert [read(i) for i in inputs] == [_image_digits(p, i, images, width) for i in inputs]
+    identity = gf.linear_reader(p, [p ** j for j in range(length)], reads)  # top image p^j
+    assert [identity(i) for i in inputs] == inputs
