@@ -13,7 +13,7 @@ from fractions import Fraction
 from . import ccma
 from .gf import canonical_field, factor_prime_power, PostconditionError
 from .function_field import (best_stat_curves, BudgetExceededError, CATALOG_Q_LIMIT,
-                             UnsupportedDivisorError)
+                             degree_n_place_count, UnsupportedDivisorError)
 
 CONSTRUCT_SIZE_LIMIT = 512   # try explicit formulas only when q^n is this small
 SUBFIELD_LIMIT = 1 << 16
@@ -107,19 +107,6 @@ def exact_small(q, n):
     return None
 
 
-def sufficient_place_condition(q, n, g):
-    """Exact test of 2g+1 <= q^((n-1)/2) (sqrt(q) - 1), squaring after the
-    sqrt(q) term is isolated so no floating point is involved."""
-    L = 2 * g + 1
-    if n % 2 == 1:
-        half = q ** ((n - 1) // 2)
-        return (L + half) ** 2 <= q ** n
-    rhs = q ** (n // 2) - L
-    if rhs < 0:
-        return False
-    return q ** (n - 1) <= rhs * rhs
-
-
 def witness_degree(n1, g, eps):
     """floor((N1 - 2g(1 + eps)) / 2) with exact rational eps."""
     return math.floor(Fraction(n1 - 2 * g * (1 + Fraction(eps)), 2))
@@ -138,19 +125,21 @@ def drinfeld_vladut(q):
 # Theorem-based conditional bounds
 # ---------------------------------------------------------------------------
 
-def theorem2_bounds(q, n, curve_stats, curve=None):
-    """Bounds from the three interpolation cases, for a curve described by
-    curve_stats = dict(g=..., n1=..., n2=..., nonspecial_available=...).
+def theorem2_bounds(q, n, curve_stats):
+    """Bounds from the three interpolation cases, for a curve of genus 0 or 1
+    described by curve_stats = dict(g=..., n1=..., n2=..., nonspecial_available=...).
 
-    A degree-n place must exist: certified constructively when a curve handle
-    is supplied and the enumeration is cheap, otherwise by the exact
-    sufficient condition (with a constructive fallback within budget).
+    A degree-n place must exist.  The line has one in every degree; on a
+    genus-1 curve N1 fixes the zeta function, which counts them exactly
+    (function_field.degree_n_place_count).
     """
     g = curve_stats["g"]
     n1 = curve_stats["n1"]
     n2 = curve_stats["n2"]
     nonspecial = curve_stats.get("nonspecial_available", g == 0)
-    if not _degree_n_place_certified(q, n, g, curve):
+    if g not in (0, 1):
+        raise ValueError("theorem2_bounds supports genus 0 and 1, got %r" % (g,))
+    if g == 1 and not degree_n_place_count(q, n1, n):
         return []
     out = []
     if n1 > 2 * n + 2 * g - 2:
@@ -160,18 +149,6 @@ def theorem2_bounds(q, n, curve_stats, curve=None):
     if n1 + 2 * n2 > 2 * n + 4 * g - 2:
         out.append((3, 3 * n + 6 * g))
     return out
-
-
-def _degree_n_place_certified(q, n, g, curve):
-    from .function_field import degree_n_place_exists
-    if g == 0:
-        return True
-    if sufficient_place_condition(q, n, g):
-        return True
-    # the sufficient condition only fails for small q^n; certify by counting
-    if curve is not None:
-        return degree_n_place_exists(curve, n)
-    return False
 
 
 # ---------------------------------------------------------------------------
@@ -212,10 +189,10 @@ def _best_bound(q, n, depth, construct):
         for entry in best_stat_curves(canonical_field(q)):
             stats = {"g": 1, "n1": entry.n1, "n2": entry.n2,
                      "nonspecial_available": _nonspecial_available(entry)}
-            for case, value in theorem2_bounds(q, n, stats, curve=entry.curve):
+            for case, value in theorem2_bounds(q, n, stats):
                 candidates.append(BoundCertificate(
                     q, n, value, "theorem2-case%d" % case,
-                    {"genus": 1, "curve": list(entry.curve.a), "n1": entry.n1, "n2": entry.n2}))
+                    {"genus": 1, "curve": list(entry.a), "n1": entry.n1, "n2": entry.n2}))
     else:
         flag = "genus1-catalog-skipped"
 

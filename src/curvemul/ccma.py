@@ -750,13 +750,12 @@ def compose(outer, inner, verify_mode="tensor", pairs=DEFAULT_SAMPLES, seed=0):
 
     # v -> v * Minv on indices of F_p-vectors of length n*m, read n times per inner term
     times_Minv = gf.linear_reader(p, [C.index_of(row) for row in Minv], n * inner.rank)
-    units = [E.value_of(p ** b) for b in range(n)]
 
     @functools.cache
-    def mul_matrix(e_idx):
-        """Multiplication-by-e matrix on F_(q^n) over F_p (n x n)."""
-        ev = E.value_of(e_idx)
-        return list(zip(*(E.vmul(ev, unit) for unit in units)))
+    def mul_matrix(e):
+        """Multiplication-by-e matrix on F_(q^n) over F_p (n x n): column b
+        is e t^b, t^b being the unit index p^b."""
+        return list(zip(*(E.value_of(E.mul(e, p ** b)) for b in range(n))))
 
     c_Cs = [iota(E.index_of(c_val)) for _, c_val in outer.terms]
     terms = []

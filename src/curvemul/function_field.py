@@ -27,8 +27,8 @@ Conventions fixed once so that every run reproduces the same objects:
 * a genus-1 place is a Frobenius orbit of an affine point, stored by its
   lexicographically smallest representative; evaluation at the place is
   evaluation at that representative;
-* orders, vanishing conditions and values where a denominator vanishes are
-  exact congruences over F_q[x] modulo powers of the minimal polynomial pi
+* Riemann-Roch vanishing conditions and values where a denominator vanishes
+  are exact congruences over F_q[x] modulo powers of the minimal polynomial pi
   of the place's x (Cantor, "Computing in the Jacobian of a hyperelliptic
   curve", Math. Comp. 48, 1987).
 """
@@ -362,14 +362,6 @@ class RationalFunction:
             raise PoleEvaluationError("pole at %r" % (place,))
         return R.mul(_peval(R, self.num.coeffs, rho), R.inv(den_v))
 
-    def ord_at(self, place):
-        if self.is_zero():
-            return None
-        if place.kind == "inf":
-            return self.den.degree - self.num.degree
-        pi = Polynomial._from_raw(self.field, place.data)
-        return _valuation(self.num, pi) - _valuation(self.den, pi)
-
 
 def _valuation(poly, pi):
     """The largest k with pi^k dividing poly; math.inf for 0."""
@@ -540,30 +532,6 @@ class CurveFunction:
         num_v = R.add(_peval(R, a.coeffs, x0), R.mul(_peval(R, b.coeffs, x0), y0))
         return R.mul(num_v, R.inv(den_v))
 
-    def ord_at(self, place):
-        """ord_P of the function; None for 0.  With v the pi-adic valuation,
-        the numerator a + b y has order v(a + bV), y being the branch V at P;
-        min(v(a), v(b)) where P is its own flip; and min(2 v(a + b v0),
-        2 v(b) + 1) where P is ramified.  The denominator has order v(den),
-        doubled where P is ramified."""
-        if self.is_zero():
-            return None
-        if place.kind == "origin":
-            return self._origin_order()
-        E = self.curve
-        pi, v0, ramified = E._local(place)
-        a, b = self.anum, self.bnum
-        if v0 is None:
-            num = min(_valuation(a, pi), _valuation(b, pi))
-        elif ramified:
-            num = min(2 * _valuation(a + b * v0, pi), 2 * _valuation(b, pi) + 1)
-        else:
-            # the norm a^2 - abh - b^2 f has valuation ord_P + ord_P' >= ord_P
-            h, f = E._hf()
-            j = _valuation(a * a - a * b * h - b * b * f, pi) + 1
-            num = _valuation((a + b * E._branch(place, j)) % pi ** j, pi)
-        return num - (1 + ramified) * _valuation(self.den, pi)
-
 
 def _descend(F, values):
     """Frobenius-invariant values of a residue field, read in F: they lie in
@@ -603,9 +571,6 @@ class EllipticCurve:
 
     def __repr__(self):
         return "E(%s; GF(%d))" % (",".join(map(str, self.a)), self.field.size)
-
-    def coefficients(self):
-        return self.a
 
     def b_invariants(self):
         """(b2, b4, b6, b8): with h = a1 x + a3 and f the cubic, the curve is
@@ -858,11 +823,11 @@ class EllipticCurve:
         With u the product of orbit-norm polynomials over the positive finite
         part of D, every f in L(D) is g/u with g regular away from O; g then
         ranges over L(M*O) subject to vanishing conditions of order
-        e = ord_P(u) - D(P) at the finitely many affected places.  With ord_P
-        as in CurveFunction.ord_at these are F_q-linear congruences on g's
-        coefficients: a + bV = 0 mod pi^e; a = b = 0 mod pi^e where P is its
-        own flip; a + b v0 = 0 mod pi^ceil(e/2) and b = 0 mod pi^floor(e/2)
-        where P is ramified.
+        e = ord_P(u) - D(P) at the finitely many affected places.  With pi
+        the orbit polynomial of P and V the branch of y there, ord_P(g) >= e
+        is an F_q-linear congruence on g = a + by: a + bV = 0 mod pi^e;
+        a = b = 0 mod pi^e where P is its own flip; a + b v0 = 0 mod
+        pi^ceil(e/2) and b = 0 mod pi^floor(e/2) where P is ramified.
         """
         F = self.field
         m_O = D.get(self.origin_place)
@@ -1115,24 +1080,22 @@ def catalog_rows(entries):
     return rows
 
 
-def degree_n_place_exists(curve, n):
-    """Count-based certificate that a degree-n place exists: N1 is counted,
-    every #E(F_(q^d)) follows from it, and Moebius inversion gives places."""
-    if curve.genus == 0:
-        return True  # monic irreducibles of every degree exist
-    counts = dict(enumerate(weil_counts(curve.field.size, curve.point_count(1), n), 1))
-    return _place_count(curve, n, counts) > 0
+def degree_n_place_count(q, n1, n):
+    """The number of degree-n places of a genus-1 curve over F_q with N1 = n1:
+    N1 fixes every #E(F_(q^d)) (weil_counts), and Moebius inversion of
+    #E(F_(q^n)) = sum over d | n of d * (degree-d places) gives the count."""
+    return _place_count(n, dict(enumerate(weil_counts(q, n1, n), 1)))
 
 
 def _divisors(n):
     return [d for d in range(1, n + 1) if n % d == 0]
 
 
-def _place_count(curve, d, counts):
+def _place_count(d, counts):
     total = counts[d]
     for e in _divisors(d):
         if e < d:
-            total -= e * _place_count(curve, e, counts)
+            total -= e * _place_count(e, counts)
     if total % d:
         raise PostconditionError("point counts give %d degree-%d points, not a multiple of %d"
                                  % (total, d, d))

@@ -403,20 +403,24 @@ class _FieldBase:
 
     def pow_(self, i, e):
         if e < 0:
-            i = self.inv(i)
-            e = -e
-        if not e:
-            return self.one_index
-        while not e & 1:
-            i = self.mul(i, i)
-            e >>= 1
-        r = i
-        while e > 1:
-            e >>= 1
-            i = self.mul(i, i)
-            if e & 1:
-                r = self.mul(r, i)
-        return r
+            i, e = self.inv(i), -e
+        return _power(self.mul, self.one_index, i, e)
+
+
+def _power(mul, one, i, e):
+    """i^e for e >= 0 by square-and-multiply on the index product mul."""
+    if not e:
+        return one
+    while not e & 1:
+        i = mul(i, i)
+        e >>= 1
+    r = i
+    while e > 1:
+        e >>= 1
+        i = mul(i, i)
+        if e & 1:
+            r = mul(r, i)
+    return r
 
 
 class PrimeField(_FieldBase):
@@ -583,22 +587,11 @@ class ExtensionField(_FieldBase):
         raw = _pinvmod(self.base, _ptrim(list(a)), list(self.modulus))
         return tuple(raw) + (0,) * (self.deg - len(raw))
 
-    def vpow(self, a, e):
-        if e < 0:
-            a, e = self.vinv(a), -e
-        r = self.value_of(self.one_index)
-        while e:
-            if e & 1:
-                r = self.vmul(r, a)
-            a = self.vmul(a, a)
-            e >>= 1
-        return r
-
     # --- index-level arithmetic ---
     #
-    # A field of N <= TABLE_LIMIT elements answers its first N index ops on
-    # the value ops, then builds, with about N vmul calls, tables over its
-    # smallest primitive element g.  The build costs what those ops cost, so
+    # A field of N <= TABLE_LIMIT elements answers its first N index ops
+    # without tables, then builds tables over its smallest primitive element
+    # g with about N direct_mul products.  The build costs what N ops cost, so
     # a caller that does few ops in a large field never pays for it.  Tables:
     # _exp[k] = g^k (twice over, so a sum of two logs needs no reduction) and
     # _log[g^k] = k.  Odd characteristic adds _zech[k] = log(1 + g^k), so that
@@ -622,21 +615,19 @@ class ExtensionField(_FieldBase):
         return self._log
 
     def _build_tables(self):
-        m = self.size - 1
-        one = self.value_of(self.one_index)
+        m, one, mul = self.size - 1, self.one_index, self.direct_mul()
         factors = _prime_factors(m)
-        g = next(v for v in map(self.value_of, range(1, self.size))
-                 if all(self.vpow(v, m // r) != one for r in factors))
+        g = next(i for i in range(1, self.size)
+                 if all(_power(mul, one, i, m // r) != one for r in factors))
         # While every entry is a cached small int a list costs one pointer
         # per entry and indexes fastest; larger fields use 2-byte arrays.
         zero = [0] if self.size <= 256 else array("H", [0])
         exp, log = zero * (2 * m), zero * self.size
-        v = one
+        i = one
         for k in range(m):
-            i = self.index_of(v)
             exp[k] = exp[k + m] = i
             log[i] = k
-            v = self.vmul(v, g)
+            i = mul(i, g)
         if self.char != 2:
             b, badd, bone = self.base.size, self.base.add, self.base.one_index
             zech = self._zech = zero * m

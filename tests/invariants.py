@@ -454,12 +454,17 @@ def _local_series(curve, f, place):
 
 
 def oracle_ord(curve, f, place):
-    """ord_P(f) from local series; at infinity and at the origin, where the
-    library reads the order off the degrees, it is ord_at's."""
+    """ord_P(f) from local series; at infinity and at the origin from the
+    degrees: x has a pole of order 1 at infinity on the line, and x and y
+    poles of orders 2 and 3 at the origin of a curve, so the a- and b-parts
+    of a + by never cancel there."""
     if f.is_zero():
         return None
-    if place.kind in ("inf", "origin"):
-        return f.ord_at(place)
+    if place.kind == "inf":
+        return f.den.degree - f.num.degree
+    if place.kind == "origin":
+        parts = [2 * p.degree + k for p, k in ((f.anum, 0), (f.bnum, 3)) if not p.is_zero()]
+        return 2 * f.den.degree - max(parts)
     num, den = _local_series(curve, f, place)
     return num.valuation() - den.valuation()
 

@@ -195,8 +195,7 @@ def test_criterion_8_property_suites():
         # constructed ranks never beat certified theorem values
         f = ccma.construct_case1(4, 4, E4)
         cases = dict(bounds.theorem2_bounds(4, 4, {"g": 1, "n1": 9, "n2": 0,
-                                                   "nonspecial_available": True},
-                                            curve=E4))
+                                                   "nonspecial_available": True}))
         assert f.rank <= cases[1]
 
         # Eq7 is the 4t-1 specialization of Eq5; derived mu keeps Eq5 >= Eq7

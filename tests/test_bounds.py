@@ -48,21 +48,6 @@ def test_exact_small():
     assert bounds.exact_small(13, 8) == 16   # Shokrollahi range
 
 
-def test_sufficient_place_condition_exact():
-    # float oracle away from boundaries, plus exact boundary cases
-    for q in (2, 3, 4, 5, 7, 8, 9, 16, 25):
-        for n in range(2, 8):
-            for g in (0, 1, 2, 5):
-                exact = bounds.sufficient_place_condition(q, n, g)
-                approx = 2 * g + 1 <= q ** ((n - 1) / 2) * (math.sqrt(q) - 1) + 1e-9
-                approx_strict = 2 * g + 1 <= q ** ((n - 1) / 2) * (math.sqrt(q) - 1) - 1e-9
-                if approx == approx_strict:  # not near the boundary
-                    assert exact == approx, (q, n, g)
-    # exact boundary: q=4, n=3, g=...: 4(2-1)=4 >= 2g+1 iff g <= 1.5
-    assert bounds.sufficient_place_condition(4, 3, 1)      # 3 <= 4
-    assert not bounds.sufficient_place_condition(4, 3, 2)  # 5 > 4
-
-
 def test_theorem2_bounds_cases():
     r = bounds.theorem2_bounds(4, 4, {"g": 1, "n1": 9, "n2": 0, "nonspecial_available": True})
     assert (1, 8) in r
@@ -70,16 +55,19 @@ def test_theorem2_bounds_cases():
     assert (3, 9) in r and (1, 7) not in r
     assert bounds.theorem2_bounds(2, 5, {"g": 0, "n1": 3, "n2": 1,
                                          "nonspecial_available": True}) == []
-    # case 2 requires the nonspecial divisor; real curve so the degree-n
-    # place is certified constructively (the sufficient condition fails here)
-    from curvemul.gf import prime_field
-    from curvemul.function_field import EllipticCurve
-    E = EllipticCurve(prime_field(2), 0, 0, 1, 0, 0)
+    # case 2 requires the nonspecial divisor; the stats are those of
+    # y^2 + y = x^3 over F_2, whose degree-3 places N1 alone counts, though
+    # 2g + 1 <= q^((n-1)/2) (sqrt(q) - 1) fails
     stats = {"g": 1, "n1": 3, "n2": 3, "nonspecial_available": True}
-    with_ns = bounds.theorem2_bounds(2, 3, stats, curve=E)
+    with_ns = bounds.theorem2_bounds(2, 3, stats)
     stats_no = dict(stats, nonspecial_available=False)
-    without = bounds.theorem2_bounds(2, 3, stats_no, curve=E)
+    without = bounds.theorem2_bounds(2, 3, stats_no)
     assert (2, 12) in with_ns and all(case != 2 for case, _ in without)
+    # that curve has no degree-4 place (#E(F_16) = #E(F_4) = 9), so no case
+    # applies at n = 4, even where N2 would allow cases 2 and 3
+    assert bounds.theorem2_bounds(2, 4, dict(stats, n2=9)) == []
+    with pytest.raises(ValueError):
+        bounds.theorem2_bounds(4, 5, {"g": 2, "n1": 10, "n2": 5})
 
 
 def test_witness_degree():
@@ -213,8 +201,7 @@ def test_theorem2_witnessed_by_construction():
     F4 = canonical_extension(prime_field(2), 2)
     entry = curve_search(F4, 9)[0]
     vals = dict(bounds.theorem2_bounds(4, 4, {"g": 1, "n1": entry.n1, "n2": entry.n2,
-                                              "nonspecial_available": True},
-                                       curve=entry.curve))
+                                              "nonspecial_available": True}))
     f = ccma.construct_case1(4, 4, entry.curve)
     assert f.rank <= vals[1]
     f23 = ccma.construct_case3(2, 3)

@@ -1,5 +1,6 @@
 import collections
 import functools
+import hashlib
 import itertools
 import json
 import os
@@ -658,6 +659,18 @@ def test_tensor_proof_makes_no_tuple_products(monkeypatch):
     monkeypatch.setattr(gf.ExtensionField, "vmul", None)  # a call raises TypeError
     for f in formulas:
         assert ccma.verify(f, "tensor").passed
+
+
+def test_compose_makes_no_tuple_products(monkeypatch):
+    # the embedding rows are read from E's index products: the composed
+    # tower to F_(2^12) is the formula compose built when it multiplied
+    # coefficient tuples by vmul, whose SHA-256 is recorded here
+    def refuse(*args):
+        raise AssertionError("vmul called")
+    monkeypatch.setattr(gf.ExtensionField, "vmul", refuse)
+    text = json.dumps(ccma.formula_to_dict(_composed_2_12()), sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "d8f815e8aab6b7379e5d7121613728ba35dbebe5ab5e4ca88f43004d26aea46c")
 
 
 def test_brute_force_reads_the_power_indices(monkeypatch):
