@@ -262,7 +262,7 @@ def _attempt_constructions(q, n, floor):
 
 def asymptotic_bounds(q):
     """Records for m_sym_q and M_sym_q whose stated preconditions hold at q."""
-    p, s = factor_prime_power(q)
+    _, s = factor_prime_power(q)
     r = math.isqrt(q)
     square = r * r == q
     records = []
@@ -351,16 +351,11 @@ def round2(value):
 
 
 def _best_eq5(q):
-    best = None
-    for t in (1, 2, 3, 4):
-        qt = q ** t
-        if qt - 5 <= 0:
-            continue
-        m = _mu(q, 2 * t)
-        v = Fraction(m * (qt - 1), t * (qt - 5))
-        if best is None or v < best[0]:
-            best = (v, t, m)
-    return best
+    """(value, t, mu) of the least Eq5 record of cacr_bounds(q, t) over
+    t = 1..4; the smallest t on ties."""
+    best = min((r for t in (1, 2, 3, 4) for r in cacr_bounds(q, t) if r.source == "Eq5"),
+               key=lambda r: r.value)
+    return best.value, best.params["t"], best.params["mu"]
 
 
 def comparison_table():

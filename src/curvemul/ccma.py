@@ -26,7 +26,7 @@ import random
 
 from . import gf, linalg
 from .gf import FieldTower, FieldElement, Polynomial, prime_field
-from .function_field import (ProjectiveLine, Divisor, place_divisor,
+from .function_field import (ProjectiveLine, Divisor, place_divisor, degree_n_place_count,
                              PoleEvaluationError, BudgetExceededError)
 
 EXHAUSTIVE_LIMIT = 1 << 8
@@ -402,62 +402,48 @@ def _first_places(curve, degree, count):
 
 
 def _candidate_divisors(curve, target):
-    """Deterministic lazy stream of divisors of the target degree with the
+    """Deterministic lazy stream of divisors of degree target >= 1 with the
     expected l(D), preferring support disjoint from the rational points
     (single higher-degree places, then sums, then differences), with
-    rational-point fallbacks last.  Collisions with Q are the caller's job."""
-    seen = set()
+    rational-point fallbacks last.  Collisions with Q are the caller's job.
 
-    def fresh(D):
-        if D in seen:
-            return False
-        seen.add(D)
-        return True
-
-    if target == 0:
-        yield Divisor({})
+    No divisor comes twice: each group below yields distinct divisors, and
+    groups differ in their support (one place of degree target; places of
+    degree 2; places of degree 2 and one of degree 3; degree target + 2
+    minus degree 2; degree target + 3 minus degree 3; one rational place
+    target times; target distinct rational places)."""
     if target >= 2:
         for pl in _first_places(curve, target, 6):
-            D = Divisor({pl: 1})
-            if fresh(D):
-                yield D
+            yield Divisor({pl: 1})
     if target >= 4 and target % 2 == 0:
         deg2 = _first_places(curve, 2, target // 2)
         if len(deg2) >= target // 2:
-            D = Divisor({pl: 1 for pl in deg2})
-            if fresh(D):
-                yield D
+            yield Divisor({pl: 1 for pl in deg2})
     if target >= 5 and target % 2 == 1:
         deg2 = _first_places(curve, 2, (target - 3) // 2)
         deg3 = _first_places(curve, 3, 1)
         if deg3 and len(deg2) >= (target - 3) // 2:
-            D = Divisor({pl: 1 for pl in deg2}) + Divisor({deg3[0]: 1})
-            if fresh(D):
-                yield D
+            yield Divisor({pl: 1 for pl in deg2}) + Divisor({deg3[0]: 1})
     for da, db in ((target + 2, 2), (target + 3, 3)):
         A_list = _first_places(curve, da, 2)
         B_list = _first_places(curve, db, 2)
         for A in A_list:
             for B in B_list:
-                if A != B:
-                    D = Divisor({A: 1, B: -1})
-                    if fresh(D):
-                        yield D
+                yield Divisor({A: 1, B: -1})
     # fallbacks that spend rational points
     rationals = curve.rational_places()
     if curve.genus == 0:
         yield Divisor({curve.infinite_place: target})
     else:
         yield Divisor({curve.origin_place: target})
-    if len(rationals) >= target:
-        D = Divisor({pl: 1 for pl in rationals[:target]})
-        if fresh(D):
-            yield D
+    # an elliptic curve's list starts at the origin: at target 1 this is the divisor above
+    if len(rationals) >= target > curve.genus:
+        yield Divisor({pl: 1 for pl in rationals[:target]})
 
 
 def _section_matrix(F, A, ncols):
     """sigma with A @ sigma = identity; None when A has deficient row rank."""
-    red, pivots = linalg.rref(F, A)
+    _, pivots = linalg.rref(F, A)
     n = len(A)
     if len(pivots) < n:
         return None
@@ -516,12 +502,15 @@ def construct_case3(q, n, curve=None, verify_mode="tensor", pairs=DEFAULT_SAMPLE
 
 
 def _construct(q, n, curve, case, verify_mode, pairs, seed):
+    """construct_case1/3 on the line or an elliptic curve over GF(q).  The
+    degree-n place Q exists on the line for every n; on an elliptic curve
+    N1 counts the degree-n places (degree_n_place_count), as in
+    bounds.theorem2_bounds, so no fiber over GF(q^n) is scanned to decide."""
     check_seed(seed)
     if n < 2:
         raise ValueError("construction requires n >= 2")
     tower = FieldTower.canonical(q, n)
     Fq = tower.base_field
-    E = tower.ext_field
     if curve is None:
         curve = ProjectiveLine(Fq)
     if curve.field is not Fq:
@@ -548,7 +537,7 @@ def _construct(q, n, curve, case, verify_mode, pairs, seed):
 
     quad = quadratic_formula(q) if (case == 3) else None
 
-    if next(curve.iter_places(n), None) is None:
+    if g == 1 and not degree_n_place_count(q, N1, n):
         raise ConstructionError("the curve has no degree-%d place" % n)
 
     best_rank_seen = None

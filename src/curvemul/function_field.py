@@ -423,8 +423,6 @@ class ProjectiveLine:
         return self.places(1)
 
     def point_count(self, k=1):
-        if self.field.size ** k > SCAN_LIMIT:
-            raise BudgetExceededError("point budget exceeded")
         return self.field.size ** k + 1
 
     def riemann_roch(self, D):

@@ -18,6 +18,7 @@ identical and elements can be mixed freely.  All types are immutable and all
 operations are pure.
 """
 
+import math
 from array import array
 from functools import cache, reduce
 from itertools import zip_longest
@@ -42,38 +43,20 @@ class PostconditionError(RuntimeError):
 
 
 def is_prime(n):
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
+    return _prime_factors(n) == [n]
 
 
 def factor_prime_power(q):
     """Return (p, s) with q = p**s, or raise ValueError."""
-    if q < 2:
+    primes = _prime_factors(q)
+    if len(primes) != 1:
         raise ValueError("not a prime power: %r" % (q,))
-    p = 2
-    while p * p <= q:
-        if q % p == 0:
-            break
-        p += 1
-    else:
-        return q, 1
-    s = 0
-    m = q
-    while m % p == 0:
-        m //= p
-        s += 1
-    if m != 1:
-        raise ValueError("not a prime power: %r" % (q,))
-    return p, s
+    p = primes[0]
+    return p, round(math.log(q, p))  # q is a power of p: the log is s up to rounding
 
 
 def _prime_factors(n):
+    """The distinct primes dividing n, ascending, by trial division; [] for n < 2."""
     out = []
     d = 2
     while d * d <= n:
@@ -179,18 +162,8 @@ def _pinvmod(F, a, m):
 
 
 def _ppowmod(F, a, e, m):
-    """a^e mod m for e >= 1, by squaring; no product with 1, no spare square."""
-    base = _pmod(F, a, m)
-    while not e & 1:
-        base = _pmod(F, _pmul(F, base, base), m)
-        e >>= 1
-    result = base
-    while e > 1:
-        e >>= 1
-        base = _pmod(F, _pmul(F, base, base), m)
-        if e & 1:
-            result = _pmod(F, _pmul(F, result, base), m)
-    return result
+    """a^e mod m for e >= 1: _power on products mod m, so no product with 1."""
+    return _power(lambda x, y: _pmod(F, _pmul(F, x, y), m), None, _pmod(F, a, m), e)
 
 
 def _peval(F, a, x):
@@ -538,12 +511,7 @@ class ExtensionField(_FieldBase):
         return idx
 
     def value_of(self, i):
-        b = self.base.size
-        out = []
-        for _ in range(self.deg):
-            i, r = divmod(i, b)
-            out.append(r)
-        return tuple(out)
+        return tuple(_raw_from_int(self.base, i, self.deg))
 
     # --- value-level arithmetic on coefficient tuples ---
 
@@ -1234,14 +1202,7 @@ class Polynomial:
     def __pow__(self, e):
         if e < 0:
             raise ValueError("negative power of a polynomial")
-        r = Polynomial(self.field, [1])
-        b = self
-        while e:
-            if e & 1:
-                r = r * b
-            b = b * b
-            e >>= 1
-        return r
+        return _power(Polynomial.__mul__, Polynomial(self.field, [1]), self, e)
 
     def gcd(self, other):
         return Polynomial._from_raw(self.field, _pgcd(self.field, list(self.coeffs), list(other.coeffs)))

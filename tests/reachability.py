@@ -13,8 +13,10 @@ src/curvemul function called while it runs, in one process:
 It then takes every def in src/curvemul (from ast, by qualified name), and
 compares the ones never called with tests/unreached.txt, one
 ``module:qualname`` a line.  It exits 1 and prints both differences when they
-differ, and 0 otherwise.  It is a script rather than a test module so that
-the tier-1 suite does not grow by its run time.
+differ, and 0 otherwise.  Its summary line also gives the line count of
+src/curvemul, as ``wc -l`` counts it; nothing gates on the count.  It is a
+script rather than a test module so that the tier-1 suite does not grow by
+its run time.
 """
 
 import ast
@@ -49,7 +51,8 @@ CLI = [
 
 
 def defined():
-    """{module:qualname} of every def in the package, as co_qualname spells it."""
+    """({module:qualname} of every def in the package, as co_qualname spells
+    it; the package's line count)."""
     def walk(node, prefix):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -59,13 +62,14 @@ def defined():
                 yield from walk(child, prefix + child.name + ".")
             else:
                 yield from walk(child, prefix)
-    out = set()
+    out, lines = set(), 0
     for name in sorted(os.listdir(PKG)):
         if name.endswith(".py"):
             with open(os.path.join(PKG, name)) as fh:
-                tree = ast.parse(fh.read())
-            out.update("%s:%s" % (name[:-3], q) for q in walk(tree, ""))
-    return out
+                source = fh.read()
+            lines += source.count("\n")
+            out.update("%s:%s" % (name[:-3], q) for q in walk(ast.parse(source), ""))
+    return out, lines
 
 
 def run_traffic():
@@ -106,15 +110,16 @@ def main():
         sys.setprofile(None)
     for failure in failures:
         print(failure)
-    names = defined()
+    names, lines = defined()
     unreached = names - called
     with open(ALLOWLIST) as fh:
         listed = {line.strip() for line in fh if line.strip() and not line.startswith("#")}
     for sign, diff in (("+", unreached - listed), ("-", listed - unreached)):
         for name in sorted(diff):
             print("%s %s" % (sign, name))
-    print("%d of %d defs unreached; %s" % (len(unreached), len(names),
-          "as listed" if unreached == listed else "+ not listed, - listed but called"))
+    print("%d of %d defs unreached; %s; src/curvemul has %d lines" % (
+        len(unreached), len(names),
+        "as listed" if unreached == listed else "+ not listed, - listed but called", lines))
     return 1 if failures or unreached != listed else 0
 
 

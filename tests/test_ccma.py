@@ -14,7 +14,8 @@ from hypothesis import given, settings, strategies as st
 
 from curvemul import bounds, ccma, gf, linalg
 from curvemul.gf import FieldTower, prime_field, canonical_extension, find_irreducible
-from curvemul.function_field import curve_search, BudgetExceededError, EllipticCurve
+from curvemul.function_field import (curve_search, best_stat_curves, BudgetExceededError,
+                                     EllipticCurve, ProjectiveLine)
 from invariants import symmetric_rank_reference, tensor_reference
 
 
@@ -819,6 +820,29 @@ def test_construct_on_a_curve_without_places_of_degree_n():
     E = EllipticCurve(canonical_extension(prime_field(2), 2), 0, 0, 1, 0, 0)
     with pytest.raises(ccma.ConstructionError, match="^the curve has no degree-2 place$"):
         ccma.construct_case1(4, 2, E)
+
+
+def test_construct_counts_degree_n_places_from_n1(monkeypatch):
+    # N1 = 9 decides that no degree-2 place exists: no fiber over F_16 is
+    # scanned once the rational places are known
+    E = EllipticCurve(canonical_extension(prime_field(2), 2), 0, 0, 1, 0, 0)
+    assert len(E.rational_places()) == 9
+
+    def no_scan(self, d):
+        raise AssertionError("scanned the degree-%d places" % d)
+    monkeypatch.setattr(EllipticCurve, "_place_scan", no_scan)
+    with pytest.raises(ccma.ConstructionError, match="^the curve has no degree-2 place$"):
+        ccma.construct_case1(4, 2, E)
+
+
+@pytest.mark.parametrize("q", [2, 4, 9])
+def test_candidate_divisors_are_distinct_and_of_the_target_degree(q):
+    F = gf.canonical_field(q)
+    for curve in [ProjectiveLine(F)] + [entry.curve for entry in best_stat_curves(F)]:
+        for target in range(1, 7):
+            ds = list(ccma._candidate_divisors(curve, target))
+            assert len(set(ds)) == len(ds), (curve, target)
+            assert all(D.degree == target for D in ds), (curve, target)
 
 
 RETEST_SCRIPT = """

@@ -77,6 +77,10 @@ def test_genus0_place_counts():
         assert len(line.places(2)) == (q * q - q) // 2
 
 
+def test_line_point_count_enumerates_nothing():
+    assert ProjectiveLine(F2).point_count(25) == 2 ** 25 + 1
+
+
 def test_genus1_place_counts():
     pls = E_SS.places(1)
     assert [p.kind for p in pls] == ["origin", "affine", "affine"]

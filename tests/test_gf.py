@@ -898,3 +898,36 @@ def test_linear_reader_is_the_linear_map_of_its_images(p, reads, length):
     assert [read(i) for i in inputs] == [_image_digits(p, i, images, width) for i in inputs]
     identity = gf.linear_reader(p, [p ** j for j in range(length)], reads)  # top image p^j
     assert [identity(i) for i in inputs] == inputs
+
+
+def test_prime_tests_match_brute_force():
+    def reference(n):  # (p, s) with n = p^s, else None
+        p = next((d for d in range(2, n + 1) if n % d == 0), None)
+        s = 0
+        while p and n % p == 0:
+            n, s = n // p, s + 1
+        return (p, s) if p and n == 1 else None
+    for n in list(range(-4, 1 << 12)) + [65537, 3 ** 10, 2 ** 16]:
+        expected = reference(n)
+        assert gf.is_prime(n) == (expected is not None and expected[1] == 1), n
+        if expected is None:
+            with pytest.raises(ValueError, match="^not a prime power: %d$" % n):
+                gf.factor_prime_power(n)
+        else:
+            assert gf.factor_prime_power(n) == expected, n
+
+
+@pytest.mark.parametrize("F", [F3, F4, F9])
+def test_powers_match_repeated_multiplication(F):
+    rng = random.Random(F.size)
+    for _ in range(5):
+        a = gf._ptrim([rng.randrange(F.size) for _ in range(rng.randrange(1, 6))])
+        m = [rng.randrange(F.size) for _ in range(rng.randrange(2, 5))] + [rng.randrange(1, F.size)]
+        P = Polynomial._from_raw(F, a)
+        power, residue = Polynomial(F, [1]), [F.one_index]
+        for e in range(10):
+            assert P ** e == power, (a, e)
+            if e:
+                assert gf._ppowmod(F, a, e, m) == residue, (a, m, e)
+            power = power * P
+            residue = gf._pmod(F, gf._pmul(F, residue, a), m)
