@@ -31,7 +31,7 @@ from .function_field import (ProjectiveLine, Divisor, place_divisor, degree_n_pl
 
 EXHAUSTIVE_LIMIT = 1 << 8
 DEFAULT_SAMPLES = 10 ** 4
-BLOCK = 2048  # pairs per bit-sliced pass of the characteristic-2 scans
+BLOCK = 2048  # pairs per pass of the sampled scan; bit_planes' text grows with it
 
 
 class ConstructionError(RuntimeError):
@@ -295,22 +295,15 @@ def _sliced_check(formula):
     return differ
 
 
-def _counting_planes(start, count, bits):
-    """Planes 0 .. bits-1 of the integers start .. start+count-1, lane k
-    holding start + k: the periodic planes of 0 .. count-1, plus the
-    constant start through a bit-sliced ripple-carry adder."""
-    full, out, carry = (1 << count) - 1, [], 0
+def _counting_planes(bits):
+    """Planes 0 .. bits-1 of the integers 0 .. 2^bits - 1, lane k holding k:
+    plane j is a run of h = 2^j zeros and h ones, doubled up to 2^bits lanes."""
+    out = []
     for j in range(bits):
-        h, a = 1 << j, 0
-        if h < count:  # bit j of k < count: runs of h zeros and h ones
-            a, span = ((1 << h) - 1) << h, 2 * h
-            while span < count:
-                a |= a << span
-                span *= 2
-            a &= full
-        b = full if start >> j & 1 else 0
-        out.append(a ^ b ^ carry)
-        carry = a & b | carry & (a ^ b)
+        a = (1 << (1 << j)) - 1 << (1 << j)
+        for k in range(j + 1, bits):
+            a |= a << (1 << k)
+        out.append(a)
     return out
 
 
@@ -330,13 +323,15 @@ def _below(rng, size):
 def _verify_scan(formula, mode, pairs, seed):
     """The 'exhaustive' and 'sampled' scans.  A pair (x, y) is its number
     x*q^n + y: 'exhaustive' takes the numbers 0 .. q^(2n) - 1 in order,
-    'sampled' draws x = rng.randrange(q^n) and then y, pair after pair.  The
-    numbers go BLOCK at a time, and the report names the first wrong one.
+    'sampled' draws x = rng.randrange(q^n) and then y, pair after pair.
+    'exhaustive' checks its q^(2n) <= 2^16 numbers as one block, 'sampled'
+    BLOCK at a time, and the report names the first wrong one.
 
     In characteristic 2 a block is one pass of _sliced_check on the bit
     planes of its numbers, whose low E.degree bits are y and whose high bits
-    are x: consecutive numbers are counted up (_counting_planes), and drawn
-    ones are packed into whole-byte lanes and cut by gf.bit_planes.
+    are x: the exhaustive block is all numbers below 2^(2 E.degree), whose
+    planes are periodic (_counting_planes), and drawn ones are packed into
+    whole-byte lanes and cut by gf.bit_planes.
     In odd characteristic the pairs go one by one: _form_reader reads the
     forms' values at x and at y, their products in F_q go through
     _term_reader, and neither reads E's ops.  'exhaustive' reads each
@@ -347,16 +342,16 @@ def _verify_scan(formula, mode, pairs, seed):
     E = formula.tower.ext_field
     size = E.size
     if mode == "exhaustive":
-        total, seed = size * size, None
+        total, step, seed = size * size, size * size, None
     else:
-        total, draw = pairs, _below(random.Random(seed), size)
+        total, step, draw = pairs, BLOCK, _below(random.Random(seed), size)
     if E.char == 2:
         differ, bits = _sliced_check(formula), E.degree
         width = -(-bits // 4)  # bytes per lane of 2*bits bits
 
         def first_wrong(block):
             if mode == "exhaustive":
-                planes = _counting_planes(block.start, len(block), 2 * bits)
+                planes = _counting_planes(2 * bits)
             else:
                 lanes = b"".join([v.to_bytes(width, "little") for v in block])
                 planes = gf.bit_planes(lanes, width, range(2 * bits))
@@ -381,8 +376,8 @@ def _verify_scan(formula, mode, pairs, seed):
                 x, y = divmod(v, size)
                 if terms(products(x, y)) != rhs(x, y):
                     return k
-    for start in range(0, total, BLOCK):
-        count = min(BLOCK, total - start)
+    for start in range(0, total, step):
+        count = min(step, total - start)
         block = (range(start, start + count) if mode == "exhaustive"
                  else [draw() * size + draw() for _ in range(count)])
         if (k := first_wrong(block)) is not None:

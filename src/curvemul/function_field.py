@@ -931,7 +931,7 @@ class CatalogEntry:
     """A curve, given by its field and coefficient indices a and built on
     first use of .curve, with N1, which is counted, and N2, the number of
     degree-2 places, which follows from N1 through the zeta function: with
-    t = q + 1 - N1, #E(F_(q^2)) = q^2 + 1 - (t^2 - 2q) (weil_counts at
+    t = q + 1 - N1, #E(F_(q^2)) = q^2 + 1 - (t^2 - 2q) (weil_count at
     k = 2), and N2 = (#E(F_(q^2)) - N1) / 2."""
 
     __slots__ = ("field", "a", "n1", "n2", "_curve")
@@ -955,16 +955,18 @@ def hasse_weil_max(q):
     return q + 1 + math.isqrt(4 * q)
 
 
-def weil_counts(q, n1, kmax):
-    """[#E(F_(q^k)) for k = 1..kmax] of a genus-1 curve with #E(F_q) = n1.
+def weil_count(q, n1, k):
+    """#E(F_(q^k)) of a genus-1 curve with #E(F_q) = n1, k >= 1.
 
-    N1 fixes the zeta function: with t = q + 1 - n1, the power sums
-    s_k = t*s_(k-1) - q*s_(k-2) (s_0 = 2, s_1 = t) give N_k = q^k + 1 - s_k."""
+    N1 fixes the zeta function: with t = q + 1 - n1, N_k = q^k + 1 - s_k for
+    the power sums s_k of the Frobenius roots (sum t, product q), doubled
+    down the bits of k: s_2j = s_j^2 - 2q^j, s_(2j+1) = s_j s_(j+1) - t q^j."""
     t = q + 1 - n1
-    s = [2, t]
-    for _ in range(2, kmax + 1):
-        s.append(t * s[-1] - q * s[-2])
-    return [q ** k + 1 - s[k] for k in range(1, kmax + 1)]
+    s, s1, qj = 2, t, 1  # s_j, s_(j+1), q^j at j = 0
+    for b in map(int, format(k, "b")):
+        s, s1 = (s * s1 - t * qj, s1 * s1 - 2 * q * qj) if b else (s * s - 2 * qj, s * s1 - t * qj)
+        qj *= qj * q ** b
+    return qj + 1 - s
 
 
 def _prefixes(F):
@@ -1033,7 +1035,7 @@ def curve_search(field, min_n1):
     """Genus-1 curves over the field with N1 >= min_n1, sorted by N1
     descending then by coefficient tuple: each N1's bucket is one or two
     ascending runs of the sweep, which sort merges.  N1 is counted; N2
-    follows from it through the zeta function (weil_counts)."""
+    follows from it through the zeta function (weil_count)."""
     q = field.size
     if q > CATALOG_Q_LIMIT:
         raise BudgetExceededError("curve search supports q <= %d" % CATALOG_Q_LIMIT)
@@ -1080,21 +1082,21 @@ def catalog_rows(entries):
 
 def degree_n_place_count(q, n1, n):
     """The number of degree-n places of a genus-1 curve over F_q with N1 = n1:
-    N1 fixes every #E(F_(q^d)) (weil_counts), and Moebius inversion of
-    #E(F_(q^n)) = sum over d | n of d * (degree-d places) gives the count."""
-    return _place_count(n, dict(enumerate(weil_counts(q, n1, n), 1)))
+    N1 fixes every #E(F_(q^d)) (weil_count), and Moebius inversion of
+    #E(F_(q^n)) = sum over d | n of d * (degree-d places) gives the count.
+    The divisors d of n come in pairs (d, n / d) with d <= sqrt(n)."""
+    low = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
+    return _place_count(n, {d: weil_count(q, n1, d) for e in low for d in (e, n // e)})
 
 
-def _divisors(n):
-    return [d for d in range(1, n + 1) if n % d == 0]
-
-
-def _place_count(d, counts):
-    total = counts[d]
-    for e in _divisors(d):
-        if e < d:
-            total -= e * _place_count(e, counts)
-    if total % d:
-        raise PostconditionError("point counts give %d degree-%d points, not a multiple of %d"
-                                 % (total, d, d))
-    return total // d
+def _place_count(n, counts):
+    """The degree-n place count from counts[d] = #E(F_(q^d)) for each d | n,
+    the places of each degree d from those of the smaller divisors of d."""
+    places = {}
+    for d in sorted(counts):
+        total = counts[d] - sum(e * c for e, c in places.items() if d % e == 0)
+        if total % d:
+            raise PostconditionError("point counts give %d degree-%d points, not a multiple of %d"
+                                     % (total, d, d))
+        places[d] = total // d
+    return places[n]

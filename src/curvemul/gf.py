@@ -25,7 +25,7 @@ from itertools import zip_longest
 from operator import xor
 
 TABLE_LIMIT = 1 << 16  # exp/log (Zech) index tables up to this size: O(size) memory,
-                       # built once the field has answered `size` index ops without them
+                       # built once the field has answered `size // 4` index ops without them
 SCAN_LIMIT = 1 << 20   # never enumerate a field bigger than this
 
 
@@ -336,7 +336,7 @@ class _FieldBase:
     extensions).  Both views are exact and interchangeable.  Index ops are
     the fast path: prime fields compute them mod p, extension fields of at
     most TABLE_LIMIT elements look them up in exp/log (Zech) tables once
-    they have answered as many index ops as they have elements.  Until
+    they have answered a quarter as many index ops as they have elements.  Until
     then, and in larger extension fields, products run on direct_mul (in
     characteristic 2 a kernel on index digits) and the other index ops on
     the value ops.
@@ -557,10 +557,11 @@ class ExtensionField(_FieldBase):
 
     # --- index-level arithmetic ---
     #
-    # A field of N <= TABLE_LIMIT elements answers its first N index ops
+    # A field of N <= TABLE_LIMIT elements answers its first N // 4 index ops
     # without tables, then builds tables over its smallest primitive element
-    # g with about N direct_mul products.  The build costs what N ops cost, so
-    # a caller that does few ops in a large field never pays for it.  Tables:
+    # g, walking exp by x -> g*x: one linear_reader over the units' images.
+    # A build costs what N/2 to N/9 untabled products cost, so it waits about
+    # as many ops as it costs (ski rental); a caller of few ops never builds.  Tables:
     # _exp[k] = g^k (twice over, so a sum of two logs needs no reduction) and
     # _log[g^k] = k.  Odd characteristic adds _zech[k] = log(1 + g^k), so that
     # g^a + g^b = g^(a + Z[b - a]); a negative b - a indexes from the end,
@@ -573,10 +574,10 @@ class ExtensionField(_FieldBase):
 
     def _ensure_tables(self):
         """Count one index op; return _log, building the tables once this
-        field has answered `size` ops without them.  None until then, and
-        always above the limit."""
+        field has answered `size // 4` ops without them.  None until then,
+        and always above the limit."""
         if self._log is None and self.size <= TABLE_LIMIT:
-            if self._untabled < self.size:
+            if self._untabled < self.size // 4:
                 self._untabled += 1
                 return None
             self._build_tables()
@@ -591,11 +592,12 @@ class ExtensionField(_FieldBase):
         # per entry and indexes fastest; larger fields use 2-byte arrays.
         zero = [0] if self.size <= 256 else array("H", [0])
         exp, log = zero * (2 * m), zero * self.size
+        times_g = linear_reader(self.char, [mul(self.char ** j, g) for j in range(self.degree)], m)
         i = one
         for k in range(m):
             exp[k] = exp[k + m] = i
             log[i] = k
-            i = mul(i, g)
+            i = times_g(i)
         if self.char != 2:
             b, badd, bone = self.base.size, self.base.add, self.base.one_index
             zech = self._zech = zero * m

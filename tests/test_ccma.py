@@ -696,22 +696,16 @@ def _exhaustive_reference(formula):
 @pytest.mark.parametrize("name", [
     "case1-2-2", "case3-2-3", "schoolbook-4-2", "case1-4-3", "case1-16-2",
     "case1-3-2", "case3-3-3", "compose-3-4", "case1-9-2"])
-def test_exhaustive_report_matches_apply_reference(name, monkeypatch):
+def test_exhaustive_report_matches_apply_reference(name):
     # the sweep must report the first failing pair of the plain row-major
-    # loop, over F_2, F_4, F_16, F_3 and F_9 bases; in characteristic 2 also
-    # with blocks of 1 and 3 pairs, on the failing copies and on clean sweeps
-    # of at most 4096 pairs (at (16, 2) the extra term first fails in row 16,
-    # beyond the first default block)
+    # loop, over F_2, F_4, F_16, F_3 and F_9 bases, on the failing copies and
+    # on the clean formula; in characteristic 2 all q^(2n) pairs are one
+    # bit-sliced pass, whose lowest failing lane names the pair (at (16, 2)
+    # the extra term first fails in row 16, past lane 4096)
     f = SMALL_FORMULAS[name]()
-    n, size = f.tower.n, f.tower.ext_field.size
-    for g in (f, corrupt_constant(f), corrupt_off_diagonal(f), _with_extra_term(f, n - 1)):
-        expected = _exhaustive_reference(g)
-        small = f.tower.p == 2 and (not expected[0] or size ** 2 <= 4096)
-        for block in (ccma.BLOCK, 1, 3) if small else (ccma.BLOCK,):
-            monkeypatch.setattr(ccma, "BLOCK", block)
-            rep = ccma.verify(g, "exhaustive")
-            assert (rep.passed, rep.pairs_checked, rep.first_failure) == expected
-        monkeypatch.undo()
+    for g in (f, corrupt_constant(f), corrupt_off_diagonal(f), _with_extra_term(f, f.tower.n - 1)):
+        rep = ccma.verify(g, "exhaustive")
+        assert (rep.passed, rep.pairs_checked, rep.first_failure) == _exhaustive_reference(g)
 
 
 def test_char2_scans_make_no_field_products(monkeypatch):

@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -12,7 +13,7 @@ from curvemul.function_field import (ProjectiveLine, EllipticCurve, Divisor, Pla
                                      RationalFunction, CurveFunction,
                                      place_divisor, curve_search, best_stat_curves,
                                      catalog_rows, hasse_weil_max, solve_quadratic,
-                                     degree_n_place_count, weil_counts,
+                                     degree_n_place_count, weil_count,
                                      BudgetExceededError, PoleEvaluationError)
 
 from invariants import (check_place_partition, check_hasse, check_rr_random,
@@ -95,17 +96,17 @@ def test_genus1_place_counts():
 def test_point_count_vs_weil_recursion():
     for E in (E_SS, E_SS4, EllipticCurve(F3, 0, 0, 0, 1, 0)):
         q = E.field.size
-        counts = weil_counts(q, E.point_count(1), 4)
+        n1 = E.point_count(1)
         for k in range(1, 5):
             if q ** k > (1 << 16):
                 break
-            assert E.point_count(k) == counts[k - 1], (E, k)
+            assert E.point_count(k) == weil_count(q, n1, k), (E, k)
     # every curve of the F2, F3 and F4 sweeps: the character sums over
     # F_(q^k) against the zeta function, and the catalog's N2 with it
     for q, F in ((2, F2), (3, F3), (4, F4)):
         for e in curve_search(F, 0):
             counts = [e.curve.point_count(k) for k in (1, 2, 3)]
-            assert weil_counts(q, counts[0], 3) == counts, e
+            assert [weil_count(q, counts[0], k) for k in (1, 2, 3)] == counts, e
             assert e.n1 == counts[0] and e.n2 == (counts[1] - counts[0]) // 2, e
 
 
@@ -684,6 +685,28 @@ def test_degree_n_place_certificates():
         while q ** n <= (1 << 12):
             assert count(curve, n) == len(curve.places(n)), (curve, n)
             n += 1
+
+
+def test_place_count_over_the_divisors_of_n():
+    # against the linear recurrence s_k = t s_(k-1) - q s_(k-2) and Moebius
+    # inversion over every d < n, for every n <= 64, across the Hasse range
+    for q in (2, 3, 4, 5, 7, 8, 9, 16, 25):
+        top = hasse_weil_max(q)
+        for n1 in sorted({2 * q + 2 - top, 2 * q + 3 - top, q + 1, top - 1, top}):
+            t = q + 1 - n1
+            s = [2, t]
+            for _ in range(64):
+                s.append(t * s[-1] - q * s[-2])
+            places = [0]
+            for d in range(1, 65):
+                total = q ** d + 1 - s[d] - sum(e * places[e] for e in range(1, d) if d % e == 0)
+                places.append(total // d)
+                assert weil_count(q, n1, d) == q ** d + 1 - s[d], (q, n1, d)
+                assert degree_n_place_count(q, n1, d) == places[d], (q, n1, d)
+    # only the 36 divisors of 10^5 are counted, each by O(log d) products
+    start = time.perf_counter()
+    assert degree_n_place_count(2, 5, 100000) > 0
+    assert time.perf_counter() - start < 0.1
 
 
 def test_quadratic_solver_all_chars():

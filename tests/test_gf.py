@@ -139,13 +139,11 @@ def test_tables_deferred_until_size_ops(q, n):
     ops = [(E.mul, E.vmul), (lambda i, j: E.inv(i), lambda a, b: E.vinv(a))]
     if E.char != 2:  # characteristic 2 adds and negates without tables
         ops += [(E.add, E.vadd), (lambda i, j: E.neg(i), lambda a, b: E.vneg(a))]
-    for k in range(E.size + 50):
+    for k in range(E.size // 4 + 50):  # the first size // 4 ops run without tables
         op, vop = ops[k % len(ops)]
         i, j = rng.randrange(1, E.size), rng.randrange(1, E.size)  # zero skips the tables
         assert op(i, j) == idx(vop(val(i), val(j))), (k, i, j)
-        if k < E.size - 1:
-            assert E._log is None, k
-    assert E._log is not None
+        assert (E._log is None) == (k < E.size // 4), k
 
 
 def test_axioms_random_sweep():
@@ -482,7 +480,7 @@ def test_untabled_char2_products_run_on_the_kernel(monkeypatch):
     E = _uninterned(2, 12)
     vmul, rng = E.vmul, random.Random(12)
     monkeypatch.setattr(E, "vmul", None)  # a call raises TypeError
-    for _ in range(E.size - 1):
+    for _ in range(E.size // 4):
         i, j = rng.randrange(1, E.size), rng.randrange(1, E.size)
         assert E.mul(i, j) == E.index_of(vmul(E.value_of(i), E.value_of(j))), (i, j)
     assert E._log is None
@@ -520,21 +518,37 @@ def test_char2_kernel_on_every_single_digit_pair(q, n, pairs):
         assert product(i, j) == acc == idx(E.vmul(val(i), val(j))), (E, i, j)
 
 
-@pytest.mark.parametrize("q,n", [(2, 8), (2, 12), (16, 3), (3, 5), (7, 2)])
-def test_tables_match_the_tuple_chain(q, n):
-    # _exp, _log and _zech of a fresh table field against the chain of
-    # powers by vmul from the smallest primitive element, which is the
-    # smallest index whose powers reach 1 only after size - 1 steps
-    E = _uninterned(q, n)
+@pytest.mark.parametrize("make", [
+    lambda: _uninterned(2, 8), lambda: _uninterned(2, 12), lambda: _uninterned(16, 3),
+    lambda: _uninterned(3, 5), lambda: _uninterned(7, 2), lambda: _uninterned(5, 4),
+    lambda: _uninterned(9, 4), lambda: _uninterned(4, 4),
+    lambda: gf.ExtensionField(F16, canonical_extension(F16, 3).modulus),
+], ids=["2-8", "2-12", "16-3", "3-5", "7-2", "5-4", "9-4", "4-4", "F2-F4-F16-3"])
+def test_tables_match_the_tuple_chain(make):
+    # _exp, _log and _zech of a fresh table field, walked by the F_p-linear
+    # map x -> g*x, against the chain of powers by vmul from the smallest
+    # primitive element, which is the smallest index whose powers reach 1
+    # only after size - 1 steps.  The build makes no chain of products: only
+    # the primitive search's powers (at most 2 log2(size) products per prime
+    # factor of size - 1 and candidate) and the images of the degree units.
+    E, calls = make(), 0
+    direct = E.direct_mul()
+
+    def counted(i, j):
+        nonlocal calls
+        calls += 1
+        return direct(i, j)
+    E._direct = counted
     exp, log = E.log_tables()
     m, one = E.size - 1, E.value_of(E.one_index)
-    for g in map(E.value_of, range(1, E.size)):
-        powers, v = [one], g
+    for g in range(1, E.size):
+        powers, v = [one], E.value_of(g)
         while v != one:
             powers.append(v)
-            v = E.vmul(v, g)
+            v = E.vmul(v, powers[1])
         if len(powers) == m:
             break
+    assert calls <= E.degree + g * len(gf._prime_factors(m)) * 2 * m.bit_length(), (E, calls)
     want_log = [0] * E.size
     for k, v in enumerate(powers):
         want_log[E.index_of(v)] = k
@@ -600,6 +614,31 @@ def test_sliced_product_matches_vmul(q, n):
         Y = [plane(b, j) for j in range(bits)]
         got = _lanes_of(gf.sliced_product(F)(X, Y), len(a))
         assert got == [F.index_of(F.vmul(F.value_of(i), F.value_of(j))) for i, j in zip(a, b)], F
+
+
+@pytest.mark.parametrize("q,n", [(2, 8), (2, 16), (16, 4), (256, 2), (4, 5)])
+def test_sliced_product_on_every_bit_basis_pair(q, n):
+    """sliced_product against vmul on every pair of one-bit elements, all in
+    one block of lanes.  The proof rests on two facts: the product touches
+    planes only by AND and XOR, so lane k of the output depends on lane k
+    of X and Y alone; and each lane's product is F_2-bilinear in the bits
+    of x and y.  The product in E is F_2-bilinear too, so agreement on the
+    pairs (2^a, 2^b) proves sliced_product equal to vmul on every lane of
+    every block, the 65536 lanes of an exhaustive scan included.
+    Bilinearity itself is checked on seeded planes, which cross-check too."""
+    E = FieldTower.canonical(q, n).ext_field  # flat over F_2 for q = 2
+    bits, rng = E.degree, random.Random(q * n)
+    product = gf.sliced_product(E)
+    X = [sum(1 << a * bits + b for b in range(bits)) for a in range(bits)]  # lane a*bits + b
+    Y = [sum(1 << a * bits + b for a in range(bits)) for b in range(bits)]  # holds (2^a, 2^b)
+    want = [E.index_of(E.vmul(E.value_of(1 << a), E.value_of(1 << b)))
+            for a in range(bits) for b in range(bits)]
+    assert _lanes_of(product(X, Y), bits * bits) == want, E
+    lanes = 64
+    X, X2, Y = ([rng.getrandbits(lanes) for _ in range(bits)] for _ in range(3))
+    both = [x ^ x2 for x, x2 in zip(X, X2)]
+    assert product(both, Y) == [u ^ v for u, v in zip(product(X, Y), product(X2, Y))]
+    assert product(X, Y) == product(Y, X)
 
 
 def test_sliced_product_rejects_other_fields():
