@@ -401,14 +401,16 @@ def _candidate_divisors(curve, target):
     expected l(D), preferring support disjoint from the rational points
     (single higher-degree places, then sums, then differences), with
     rational-point fallbacks last.  Collisions with Q are the caller's job.
+    Places of degree target are pulled one at a time, as the caller asks for
+    their divisors: the first usually serves, and each pull costs a search.
 
     No divisor comes twice: each group below yields distinct divisors, and
     groups differ in their support (one place of degree target; places of
     degree 2; places of degree 2 and one of degree 3; degree target + 2
     minus degree 2; degree target + 3 minus degree 3; one rational place
     target times; target distinct rational places)."""
-    if target >= 2:
-        for pl in _first_places(curve, target, 6):
+    if target >= 2:  # no infinity or origin above degree 1
+        for pl in itertools.islice(curve.iter_places(target), 6):
             yield Divisor({pl: 1})
     if target >= 4 and target % 2 == 0:
         deg2 = _first_places(curve, 2, target // 2)
@@ -450,12 +452,13 @@ def _section_matrix(F, A, ncols):
     return sigma
 
 
-def _place_rows(basis_funcs, place):
-    """Evaluation rows of the functions at the place: row c holds the c-th
-    residue coordinate of each value, the c-th base-q digit of its index;
-    None when some function has a pole there."""
+def _place_rows(basis, place):
+    """Evaluation rows of the basis at the place, read in one pass
+    (RRBasis.values_at): row c holds the c-th residue coordinate of each
+    value, the c-th base-q digit of its index; None when some function has a
+    pole there."""
     try:
-        vals = [f.eval_at(place) for f in basis_funcs]
+        vals = basis.values_at(place)
     except PoleEvaluationError:
         return None
     F, d = place.curve.field, place.degree
@@ -576,7 +579,7 @@ def _attempt(tower, curve, case, D, Q, space, dim2, ell_D, eval_degrees, quad):
     LD = space(1)
     if LD.dimension != ell_D:
         return None, None
-    A = _place_rows(LD.functions, Q)  # n x ell_D: coordinates in the power basis of E
+    A = _place_rows(LD, Q)  # n x ell_D: coordinates in the power basis of E
     if A is None:
         return None, None
     sigma = _section_matrix(Fq, A, ell_D)
@@ -587,7 +590,7 @@ def _attempt(tower, curve, case, D, Q, space, dim2, ell_D, eval_degrees, quad):
     if L2D.dimension != dim2:
         return None, None
     try:
-        evQ2 = [E.value_of(f.eval_at(Q)) for f in L2D.functions]
+        evQ2 = [E.value_of(v) for v in L2D.values_at(Q)]
     except PoleEvaluationError:
         return None, None
 
@@ -602,13 +605,13 @@ def _attempt(tower, curve, case, D, Q, space, dim2, ell_D, eval_degrees, quad):
                 break
             if pl == Q or D.get(pl):
                 continue
-            rows2 = _place_rows(L2D.functions, pl)
+            rows2 = _place_rows(L2D, pl)
             if rows2 is None:
                 continue
             gained = [r for r, row in enumerate(rows2, len(flat_rows)) if space.add(row)]
             if not gained:
                 continue
-            rows1 = _place_rows(LD.functions, pl)
+            rows1 = _place_rows(LD, pl)
             if rows1 is None:
                 return None, None  # cannot happen: same pole support
             selected.append((pl, rows2, rows1))

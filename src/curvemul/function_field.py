@@ -291,17 +291,42 @@ def place_divisor(place):
 
 
 class RRBasis:
-    """Explicit basis of a Riemann-Roch space L(D)."""
+    """Explicit basis of a Riemann-Roch space L(D).  Its functions share the
+    denominator den: m for z x^j / m on the line (z is kept too), u for
+    (a + b y) / u on an elliptic curve."""
 
-    __slots__ = ("divisor", "functions", "dimension")
+    __slots__ = ("divisor", "functions", "dimension", "den", "z")
 
-    def __init__(self, divisor, functions):
-        object.__setattr__(self, "divisor", divisor)
-        object.__setattr__(self, "functions", tuple(functions))
-        object.__setattr__(self, "dimension", len(functions))
+    def __init__(self, divisor, functions, den, z=None):
+        for name, v in (("divisor", divisor), ("functions", tuple(functions)),
+                        ("dimension", len(functions)), ("den", den), ("z", z)):
+            object.__setattr__(self, name, v)
 
     def __setattr__(self, *a):
         raise AttributeError("RRBasis is immutable")
+
+    def values_at(self, place):
+        """[f.eval_at(place) for f in self.functions], reading and inverting
+        den once at a finite place where it does not vanish: there the values
+        are z(rho) rho^j / m(rho) on the line, with rho the place's root, and
+        (a(x0) + b(x0) y0) / u(x0) on an elliptic curve.  At infinity, at the
+        origin and at a zero of den each function is evaluated alone, so poles
+        and apparent singularities are eval_at's."""
+        R, n = place.residue_field, len(self.functions)
+        if n and place.kind == "poly":  # z(rho) / m(rho), then times rho for each next j
+            rho = _place_root(place.curve.field, place.data)
+            if den_v := _peval(R, self.den.coeffs, rho):
+                first = R.mul(_peval(R, self.z.coeffs, rho), R.inv(den_v))
+                powers = itertools.repeat(rho, n - 1)
+                return list(itertools.accumulate(powers, R.mul, initial=first))
+        elif n and place.kind == "affine":
+            (x0, y0), mul = place.data, R.mul
+            if den_v := _peval(R, self.den.coeffs, x0):
+                s = R.inv(den_v)
+                return [mul(R.add(_peval(R, f.anum.coeffs, x0),
+                                  mul(_peval(R, f.bnum.coeffs, x0), y0)), s)
+                        for f in self.functions]
+        return [f.eval_at(place) for f in self.functions]
 
 
 # ---------------------------------------------------------------------------
@@ -361,6 +386,15 @@ class RationalFunction:
         if not den_v:
             raise PoleEvaluationError("pole at %r" % (place,))
         return R.mul(_peval(R, self.num.coeffs, rho), R.inv(den_v))
+
+
+def _reduced(F, num, den):
+    """num/den without __init__'s gcd and scaling: the caller knows the two
+    coprime and den monic."""
+    f = object.__new__(RationalFunction)
+    for name, v in (("field", F), ("num", num), ("den", den)):
+        object.__setattr__(f, name, v)
+    return f
 
 
 def _valuation(poly, pi):
@@ -440,11 +474,13 @@ class ProjectiveLine:
             else:
                 z = z * pi ** (-mult)
         J = D.degree
-        funcs = []
-        x = Polynomial(F, [0, 1])
-        for j in range(J + 1):
-            funcs.append(RationalFunction(F, z * x ** j, m))
-        return RRBasis(D, funcs)
+        if m.coeffs[0]:  # x does not divide m, so z x^j / m is reduced: m and z x^j are coprime
+            funcs = [_reduced(F, Polynomial._from_raw(F, (0,) * j + z.coeffs), m)
+                     for j in range(J + 1)]
+        else:
+            x = Polynomial(F, [0, 1])
+            funcs = [RationalFunction(F, z * x ** j, m) for j in range(J + 1)]
+        return RRBasis(D, funcs, m, z)
 
     def find_nonspecial_divisor(self):
         """A divisor of degree g - 1 = -1 with l(D) = 0: minus infinity."""
@@ -835,7 +871,7 @@ class EllipticCurve:
             u = u * self._norm_poly(p) ** m
         M = m_O + 2 * sum(m * p.degree for p, m in plus)
         if M < 0:
-            return RRBasis(D, [])
+            return RRBasis(D, [], u)
         monomials = [(i, 0) for i in range(M // 2 + 1)]
         monomials += [(i, 1) for i in range((M - 3) // 2 + 1)] if M >= 3 else []
         monomials.sort(key=lambda ie: 2 * ie[0] + 3 * ie[1])
@@ -883,7 +919,7 @@ class EllipticCurve:
         if D.degree > 0 and len(funcs) != D.degree:
             raise PostconditionError("Riemann-Roch dimension mismatch: got %d, expected %d"
                                      % (len(funcs), D.degree))
-        return RRBasis(D, funcs)
+        return RRBasis(D, funcs, u)
 
     # --- divisor classes ---
 

@@ -841,6 +841,7 @@ def test_candidate_divisors_are_distinct_and_of_the_target_degree(q):
 
 RETEST_SCRIPT = """
 import collections
+import itertools
 from curvemul import ccma, gf
 tested = collections.Counter()
 is_irreducible_raw = gf.is_irreducible_raw
@@ -853,23 +854,29 @@ def counting(F, coeffs):
 
 
 gf.is_irreducible_raw = counting
-ccma.construct_case1(16, 4)
-first, tested = tested, collections.Counter()
-ccma.construct_case1(16, 5)
-print(len(first), len(tested), len(set(first) & set(tested)))
+steps = []
+for step in (lambda: ccma.construct_case1(16, 4), lambda: ccma.construct_case1(16, 5),
+             lambda: list(itertools.islice(gf.irreducibles(gf.canonical_field(16), 4), 6))):
+    step()
+    steps.append(set(tested))
+    tested.clear()
+again = sum(len(a & b) for a, b in itertools.combinations(steps, 2))
+print(*map(len, steps), again)
 """
 
 
 def test_construct_16_5_after_16_4_retests_no_degree_4_candidate():
-    # (16, 5) looks for degree-4 places to build divisors from; the ones
-    # (16, 4) tested stay in the shared stream and are not tested again
+    # (16, 4) finds its degree-4 modulus in the shared stream of degree-4
+    # places; (16, 5) pulls its first divisor's place, the same modulus, from
+    # that stream and tests nothing; six places pulled afterwards test new
+    # candidates, and no candidate is tested twice
     src = os.path.dirname(os.path.dirname(ccma.__file__))
     done = subprocess.run([sys.executable, "-c", RETEST_SCRIPT],
                           env=dict(os.environ, PYTHONPATH=src),
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    first, second, again = map(int, done.stdout.split())
-    assert first > 0 and second > 0 and again == 0
+    first, second, third, again = map(int, done.stdout.split())
+    assert first > 0 and second == 0 and third > 0 and again == 0
 
 
 def test_construct_builds_each_space_once_per_divisor(monkeypatch):

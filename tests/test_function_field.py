@@ -1,3 +1,4 @@
+import collections
 import itertools
 import os
 import random
@@ -7,7 +8,7 @@ import time
 
 import pytest
 
-from curvemul import function_field, gf
+from curvemul import ccma, function_field, gf
 from curvemul.gf import Polynomial, prime_field, canonical_extension, embed
 from curvemul.function_field import (ProjectiveLine, EllipticCurve, Divisor, Place,
                                      RationalFunction, CurveFunction,
@@ -495,6 +496,75 @@ def test_eval_at_matches_field_element_reference_genus1(E, degrees):
                 assert CurveFunction(E, anum, bnum, den).eval_at(pl) == ref.index, pl
                 checked += 1
     assert checked > 5 * len(places)
+
+
+def _candidate_spaces(F):
+    """(curve, target, L(kD)) for every construction candidate D of targets
+    1 to 6 and k = 1, 2, on the line and both best_stat_curves curves over
+    F; a line divisor through the place x is added at each target."""
+    line = ProjectiveLine(F)
+    x_place = Place(line, 1, "poly", (0, F.one_index))
+    for curve in [line] + [entry.curve for entry in best_stat_curves(F)]:
+        for target in range(1, 7):
+            extra = [Divisor({x_place: target, line.infinite_place: 1, Place(
+                line, 1, "poly", (F.one_index, F.one_index)): -1})] if curve is line else []
+            for D in list(ccma._candidate_divisors(curve, target)) + extra:
+                for k in (1, 2):
+                    yield curve, target, curve.riemann_roch(k * D)
+
+
+def _values_or_pole(evaluate):
+    try:
+        return evaluate()
+    except PoleEvaluationError:
+        return "pole"
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 9])
+def test_basis_values_at_match_per_function_eval_at(q):
+    # values_at reads the shared denominator once; at infinity, the origin
+    # and its zeros it evaluates function by function.  The places: every
+    # place of degree <= 2 and the first two of each degree n that the
+    # target serves (n + g - 1 and n + 2g - 1 are targets of cases 1 and 3)
+    F = gf.canonical_field(q)
+    shared, vanishing = 0, collections.Counter()
+    for curve, target, basis in _candidate_spaces(F):
+        degrees = {target + 1 - curve.genus, target + 1 - 2 * curve.genus} - {0, 1, 2}
+        places = curve.places(1) + curve.places(2)
+        places += [pl for d in sorted(degrees) for pl in itertools.islice(curve.iter_places(d), 2)]
+        for pl in places:
+            one_pass = _values_or_pole(lambda: basis.values_at(pl))
+            assert one_pass == _values_or_pole(
+                lambda: [f.eval_at(pl) for f in basis.functions]), (curve, basis.divisor, pl)
+            if pl.kind in ("poly", "affine") and basis.functions:
+                x0 = (function_field._place_root(F, pl.data) if pl.kind == "poly"
+                      else pl.data[0])
+                den_v = gf._peval(pl.residue_field, basis.den.coeffs, x0)
+                shared += bool(den_v)
+                vanishing[curve.genus, one_pass == "pole"] += not den_v
+    # the shared path ran, and so did the zeros of the denominator: poles
+    # on the line, x among them, and apparent singularities on the curves
+    assert shared > 1000 and vanishing[0, True] > 10 and vanishing[1, False] > 10
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 9])
+def test_line_bases_without_gcd_match_the_reduced_constructor(q):
+    F = gf.canonical_field(q)
+    x = Polynomial(F, [0, 1])
+    through_x = 0
+    for curve, _, basis in _candidate_spaces(F):
+        if curve.genus:
+            continue
+        m = z = Polynomial(F, [1])
+        for pl, mult in basis.divisor.items():
+            if pl.kind == "poly":
+                pi = Polynomial._from_raw(F, pl.data)
+                m, z = (m * pi ** mult, z) if mult > 0 else (m, z * pi ** -mult)
+        through_x += not m.coeffs[0]
+        assert [(f.num.coeffs, f.den.coeffs) for f in basis.functions] == [
+            (g.num.coeffs, g.den.coeffs) for g in (RationalFunction(F, z * x ** j, m)
+                                                   for j in range(basis.divisor.degree + 1))]
+    assert through_x > 0
 
 
 # --- divisor classes --------------------------------------------------------
