@@ -13,7 +13,7 @@ from fractions import Fraction
 from . import ccma
 from .gf import canonical_field, factor_prime_power, PostconditionError
 from .function_field import (best_stat_curves, BudgetExceededError, CATALOG_Q_LIMIT,
-                             degree_n_place_count, UnsupportedDivisorError)
+                             degree_n_place_count, divisors, UnsupportedDivisorError)
 
 CONSTRUCT_SIZE_LIMIT = 512   # try explicit formulas only when q^n is this small
 SUBFIELD_LIMIT = 1 << 16
@@ -131,7 +131,8 @@ def theorem2_bounds(q, n, curve_stats):
 
     A degree-n place must exist.  The line has one in every degree; on a
     genus-1 curve N1 fixes the zeta function, which counts them exactly
-    (function_field.degree_n_place_count).
+    (function_field.degree_n_place_count), asked only once some inequality
+    holds: the count reads #E(F_(q^n)), a number of about n log2(q) bits.
     """
     g = curve_stats["g"]
     n1 = curve_stats["n1"]
@@ -139,8 +140,6 @@ def theorem2_bounds(q, n, curve_stats):
     nonspecial = curve_stats.get("nonspecial_available", g == 0)
     if g not in (0, 1):
         raise ValueError("theorem2_bounds supports genus 0 and 1, got %r" % (g,))
-    if g == 1 and not degree_n_place_count(q, n1, n):
-        return []
     out = []
     if n1 > 2 * n + 2 * g - 2:
         out.append((1, 2 * n + g - 1))
@@ -148,6 +147,8 @@ def theorem2_bounds(q, n, curve_stats):
         out.append((2, 3 * n + 3 * g))
     if n1 + 2 * n2 > 2 * n + 4 * g - 2:
         out.append((3, 3 * n + 6 * g))
+    if out and g == 1 and not degree_n_place_count(q, n1, n):
+        return []
     return out
 
 
@@ -166,8 +167,9 @@ def best_bound(q, n, depth=2, construct="auto"):
         raise ValueError("recursion depth must be >= 0")
     if depth > 3:
         raise ValueError("recursion depth capped at 3")
-    if construct == "auto":
-        construct = q ** n <= CONSTRUCT_SIZE_LIMIT and q <= CATALOG_Q_LIMIT
+    if construct == "auto":  # q >= 2: q^n <= the limit needs n below its bit length
+        construct = (n < CONSTRUCT_SIZE_LIMIT.bit_length() and q ** n <= CONSTRUCT_SIZE_LIMIT
+                     and q <= CATALOG_Q_LIMIT)
     return _best_bound(q, n, depth, bool(construct))
 
 
@@ -197,11 +199,9 @@ def _best_bound(q, n, depth, construct):
         flag = "genus1-catalog-skipped"
 
     if depth > 0:
-        for a in range(2, n):
-            if n % a:
-                continue
+        for a in divisors(n)[1:-1]:  # increasing, so ties resolve to the smallest a
             b = n // a
-            if q ** a > SUBFIELD_LIMIT:
+            if a >= SUBFIELD_LIMIT.bit_length() or q ** a > SUBFIELD_LIMIT:
                 flag = flag or "composition-subfield-over-budget"
                 continue
             ca = best_bound(q, a, depth - 1, construct=False)

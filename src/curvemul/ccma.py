@@ -521,19 +521,19 @@ def _construct(q, n, curve, case, verify_mode, pairs, seed):
             raise HypothesisError(
                 "case 1 needs N1 > 2n+2g-2: %d <= %d" % (N1, 2 * n + 2 * g - 2))
         target = n + g - 1
-        eval_degrees = (1,)
     else:
-        deg2_places = curve.places(2)
-        N2 = len(deg2_places)
+        N2 = len(curve.places(2))
         if not N1 + 2 * N2 > 2 * n + 4 * g - 2:
             raise HypothesisError(
                 "case 3 needs N1+2N2 > 2n+4g-2: %d <= %d" % (N1 + 2 * N2, 2 * n + 4 * g - 2))
         target = n + 2 * g - 1
-        eval_degrees = (1, 2)
     dim2 = 2 * target - g + 1
     ell_D = target - g + 1
-
-    quad = quadratic_formula(q) if (case == 3) else None
+    # the local formula of each evaluation degree: rank 1 at degree 1, and
+    # in case 3 the library's rank-3 formula for F_(q^2) at degree 2
+    local = {1: identity_formula(FieldTower.canonical(q, 1))}
+    if case == 3:
+        local[2] = quadratic_formula(q)
 
     if g == 1 and not degree_n_place_count(q, N1, n):
         raise ConstructionError("the curve has no degree-%d place" % n)
@@ -551,8 +551,7 @@ def _construct(q, n, curve, case, verify_mode, pairs, seed):
             if g == 1 and case == 1:
                 if curve.divisor_class_is_principal(D - place_divisor(Q)):
                     continue  # l(D-Q) must vanish
-            formula, achieved = _attempt(tower, curve, case, D, Q, space, dim2, ell_D,
-                                         eval_degrees, quad)
+            formula, achieved = _attempt(tower, curve, case, D, Q, space, dim2, ell_D, local)
             if achieved is not None and (best_rank_seen is None or achieved < best_rank_seen):
                 best_rank_seen = achieved
             if formula is None:
@@ -568,9 +567,10 @@ def _construct(q, n, curve, case, verify_mode, pairs, seed):
                             best_rank=best_rank_seen)
 
 
-def _attempt(tower, curve, case, D, Q, space, dim2, ell_D, eval_degrees, quad):
+def _attempt(tower, curve, case, D, Q, space, dim2, ell_D, local):
     """One (D, Q) attempt; returns (formula, achieved_rank_or_None).
-    space(k) is L(kD)."""
+    space(k) is L(kD); local maps each evaluation degree d to a symmetric
+    formula for F_(q^d)/F_q, which gives a place of degree d its terms."""
     Fq = tower.base_field
     E = tower.ext_field
     n = tower.n
@@ -594,10 +594,10 @@ def _attempt(tower, curve, case, D, Q, space, dim2, ell_D, eval_degrees, quad):
     except PoleEvaluationError:
         return None, None
 
-    space = linalg.RowSpace(Fq, dim2)
-    selected = []  # (place, rows2D, rowsLD)
+    space = linalg.RowSpace(Fq)
+    selected = []  # (place, its rows of L(D), the index of its first row in flat_rows)
     flat_rows, pivot_rows = [], []  # the selected places' rows; those space accepted
-    for d in eval_degrees:
+    for d in local:
         if space.rank == dim2:
             break
         for pl in curve.places(d):
@@ -614,56 +614,37 @@ def _attempt(tower, curve, case, D, Q, space, dim2, ell_D, eval_degrees, quad):
             rows1 = _place_rows(LD, pl)
             if rows1 is None:
                 return None, None  # cannot happen: same pole support
-            selected.append((pl, rows2, rows1))
+            selected.append((pl, rows1, len(flat_rows)))
             flat_rows += rows2
             pivot_rows += gained
     if space.rank < dim2:
         return None, space.rank
     sub = [flat_rows[r] for r in pivot_rows]
     inv_sub = linalg.invert(Fq, sub)
-    # gamma_r = sum_k Linv[k][r] * evQ2[k]; zero off the pivot rows
-    zero_val = (0,) * E.deg
-    gammas = [zero_val] * len(flat_rows)
-    for pos, r in enumerate(pivot_rows):
-        acc = zero_val
-        for k in range(dim2):
-            s = inv_sub[k][pos]
-            if s:
-                acc = E.vadd(acc, tuple(Fq.mul(s, c) for c in evQ2[k]))
-        gammas[r] = acc
+    # gamma_r = sum_k inv_sub[k][pos] * evQ2[k] at the pos-th pivot row r; zero off them
+    gammas = [(0,) * E.deg] * len(flat_rows)
+    for r, col in zip(pivot_rows, zip(*inv_sub)):
+        gammas[r] = _row_times(Fq, col, evQ2)
 
     terms = []
-    flat = 0
-    used1 = []
-    used2 = []
-    for pl, rows2, rows1 in selected:
-        if pl.degree == 1:
-            xstar = _row_times(Fq, rows1[0], sigma)
-            c = gammas[flat]
+    used = {1: [], 2: []}
+    for pl, rows1, at in selected:
+        # the place's residue coordinates as forms on E, and their constants
+        W = [_row_times(Fq, row, sigma) for row in rows1]
+        g = gammas[at:at + pl.degree]
+        for ustar, e_c in local[pl.degree].terms:
+            xstar, c = _row_times(Fq, ustar, W), _row_times(Fq, e_c, g)
             if any(xstar) and any(c):
                 terms.append((xstar, c))
-            used1.append(pl)
-            flat += 1
-        else:
-            W = [_row_times(Fq, row, sigma) for row in rows1]  # 2 x n
-            g0, g1 = gammas[flat], gammas[flat + 1]
-            for ustar, e_c in quad.terms:
-                xstar = tuple(Fq.add(Fq.mul(ustar[0], W[0][j]), Fq.mul(ustar[1], W[1][j]))
-                              for j in range(n))
-                c = E.vadd(tuple(Fq.mul(e_c[0], t) for t in g0),
-                           tuple(Fq.mul(e_c[1], t) for t in g1))
-                if any(xstar) and any(c):
-                    terms.append((xstar, c))
-            used2.append(pl)
-            flat += 2
+        used[pl.degree].append(pl)
 
     prov = {
         "method": "theorem2-case%d" % case,
         "q": tower.q, "n": n, "genus": curve.genus,
         "curve": list(curve.a) if curve.genus == 1 else None,
         "Q": Q.serial(), "D": D.serial(),
-        "degree1_places": [p.serial() for p in used1],
-        "degree2_places": [p.serial() for p in used2],
+        "degree1_places": [p.serial() for p in used[1]],
+        "degree2_places": [p.serial() for p in used[2]],
         "rank": len(terms),
     }
     return SymmetricBilinearFormula(tower, terms, prov), len(terms)
@@ -795,53 +776,39 @@ def _rank_search(tower, max_rank):
     """Depth-first search, with no budget, for the fewest projective forms
     l_i (first nonzero coordinate 1) whose vectors (l_i(e_j) l_i(e_k))_(j<=k)
     span over F_q the n coordinate vectors of (t^(j+k))_(j<=k), so that the
-    constants exist.  A node keeps its set's echelon and these targets
-    reduced by it.  A form already in the span is skipped: without it a set
+    constants exist.  The search holds its set's echelon in one
+    linalg.RowSpace: a node stores its form's row, reduces the targets,
+    already reduced by the rows before it, by that row alone, and drops it
+    on return.  A form already in the span is skipped: without it a set
     spans the same.  The first form is in every set: l -> l o m_a, with
     m_a(x) = a*x, is regular on nonzero forms and maps a formula to one with
     c -> c/a^2."""
     Fq, E, n = tower.base_field, tower.ext_field, tower.n
-    mul, sub = Fq.mul, Fq.sub
+    mul = Fq.mul
     pairs = [(j, k) for j in range(n) for k in range(j, n)]
     powers = [E.value_of(i) for i in _power_indices(E)]
-    targets = [[powers[j + k][s] for j, k in pairs] for s in range(n)]
-    vecs = [[mul(f[j], f[k]) for j, k in pairs]
+    space = linalg.RowSpace(Fq)
+    # rows in the space's own form (bit masks over F_2): residuals by no row
+    targets = [space.residual([powers[j + k][s] for j, k in pairs]) for s in range(n)]
+    vecs = [space.residual([mul(f[j], f[k]) for j, k in pairs])
             for f in (gf._raw_from_int(Fq, i, n) for i in range(1, E.size))
             if next(filter(None, f)) == Fq.one_index]
-    if Fq.size == 2:  # bit masks, eliminated by XOR
-        vecs, targets = ([sum(x << c for c, x in enumerate(v)) for v in vs]
-                         for vs in (vecs, targets))
-        zero, lead = 0, lambda v: (v & -v, v)
-        reduce = lambda v, piv, row: v ^ row if v & piv else v
-    else:
-        zero = [0] * len(pairs)
-
-        def reduce(v, piv, row):
-            c = v[piv]
-            return [sub(x, mul(c, y)) for x, y in zip(v, row)] if c else v
-
-        def lead(v):
-            piv = next(c for c, x in enumerate(v) if x)
-            inv = Fq.inv(v[piv])
-            return piv, [mul(inv, x) for x in v]
+    zero = space.residual([0] * len(pairs))
     best = max_rank + 1
 
-    def visit(i, ech, rest):
+    def visit(i, rest):
         nonlocal best
-        v = vecs[i]
-        for piv, row in ech:
-            v = reduce(v, piv, row)
-        if v == zero:
+        if not space.add(vecs[i]):
             return
-        ech = ech + [lead(v)]
-        rest = [t for t in (reduce(t, *ech[-1]) for t in rest) if t != zero]
+        rest = [t for t in (space.residual(t, -1) for t in rest) if t != zero]
         if not rest:
-            best = len(ech)
-        elif len(ech) + 1 < best:
+            best = space.rank
+        elif space.rank + 1 < best:
             for j in range(i + 1, len(vecs)):
-                visit(j, ech, rest)
+                visit(j, rest)
+        space.rows.pop()
 
-    visit(0, [], targets)
+    visit(0, targets)
     return best if best <= max_rank else None
 
 

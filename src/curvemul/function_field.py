@@ -67,24 +67,17 @@ class UnsupportedDivisorError(ValueError):
 
 @functools.cache
 def _as_basis(F):
-    """An XOR basis of the image of z -> z^2 + z on F of characteristic 2
-    (the trace-0 hyperplane): pairs (z^2 + z, z), reduced so that their top
-    image bits differ, in decreasing order of them."""
-    basis = []
-    for k in range(1, F.degree):  # e_0 = 1 is in the kernel
+    """The F_2 echelon (linalg.RowSpace) of the rows (z^2 + z) | z << m over
+    z = e_1 .. e_(m-1) on F = F_(2^m): z -> z^2 + z has kernel {0, 1} = span
+    e_0, so it is injective on their span, whose image is the trace-0
+    hyperplane, and every pivot falls in the image bits.  The residual of
+    c is 0 below bit m exactly when c is in the image, and then its high
+    bits are the z in that span with z^2 + z = c."""
+    basis = linalg.RowSpace(gf.prime_field(2))
+    for k in range(1, F.degree):
         z = 1 << k
-        img, pre = _as_reduce(basis, F.mul(z, z) ^ z, z)
-        if img:
-            basis.append((img, pre))
-            basis.sort(reverse=True)
+        basis.add(F.mul(z, z) ^ z | z << F.degree)
     return basis
-
-
-def _as_reduce(basis, img, pre):
-    for b_img, b_pre in basis:
-        if img ^ b_img < img:  # b_img's top bit is set in img
-            img, pre = img ^ b_img, pre ^ b_pre
-    return img, pre
 
 
 @functools.cache
@@ -112,7 +105,8 @@ def solve_quadratic(F, a, b):
             # squaring is a bijection; the inverse is z -> z^(|F|/2)
             return [F.pow_(b, F.size // 2)]
         # y = a z: z^2 + z = b / a^2
-        c, z = _as_reduce(_as_basis(F), F.mul(b, F.inv(F.mul(a, a))), 0)
+        r = _as_basis(F).residual(F.mul(b, F.inv(F.mul(a, a))))
+        z, c = divmod(r, F.size)  # F.size = 2^m
         if c:
             return []
         return sorted((F.mul(a, z), F.add(F.mul(a, z), a)))
@@ -147,18 +141,30 @@ def _odd_row(R, b2, b4):
     """[N1 of (2y + h)^2 = 4x^3 + b2 x^2 + 2b4 x + b6 for each b6 in R, or 0
     where it is singular], odd p.  One pass over x takes the values v of
     4x^3 + b2 x^2 + 2b4 x; each b6's sum of chi(v + b6) is a column sum of
-    their _chi_shifts rows.  As 4 b8 = b2 b6 - b4^2, the discriminant is
-    -27 b6^2 + (9 b2 b4 - b2^3/4) b6 + b2^2 b4^2/4 - 8 b4^3."""
-    q, p, add, sub, mul = R.size, R.char, R.add, R.sub, R.mul
+    their _chi_shifts rows; the discriminant is _discriminant_poly in b6."""
+    q, p, add, mul = R.size, R.char, R.add, R.mul
     shifts, c1 = _chi_shifts(R), mul(2 % p, b4)
     sums = map(sum, zip(*[shifts[mul(add(mul(add(mul(4 % p, x), b2), x), c1), x)]
                           for x in range(q)]))
-    quarter, b22, b44 = R.inv(4 % p), mul(b2, b2), mul(b4, b4)
-    d2 = R.neg(27 % p)
-    d1 = sub(mul(9 % p, mul(b2, b4)), mul(quarter, mul(b22, b2)))
-    d0 = sub(mul(quarter, mul(b22, b44)), mul(8 % p, mul(b4, b44)))
-    return [1 + q + s if add(mul(add(mul(d2, b6), d1), b6), d0) else 0
-            for b6, s in enumerate(sums)]
+    disc = _discriminant_poly(R, b2, b4)
+    return [1 + q + s if _peval(R, disc, b6) else 0 for b6, s in enumerate(sums)]
+
+
+def _discriminant_poly(F, b2, b4, b6=None, c8=None):
+    """The discriminant -b2^2 b8 - 8 b4^3 - 27 b6^2 + 9 b2 b4 b6 as a
+    polynomial (lowest coefficient first, for _peval) in the coefficient
+    that a prefix (a1, .., a4) leaves free.  In odd characteristic that is
+    b6, and b6, c8 are not read: 4 b8 = b2 b6 - b4^2 makes it
+    -27 b6^2 + (9 b2 b4 - b2^3/4) b6 + b2^2 b4^2/4 - 8 b4^3.  In
+    characteristic 2 it is a6: b6 = a3^2 and b8 = b2 a6 + c8, c8 being b8
+    at a6 = 0, make it b2^3 a6 + b2^2 c8 + b6^2 + b2 b4 b6."""
+    add, sub, mul, b22 = F.add, F.sub, F.mul, F.mul(b2, b2)
+    if F.char == 2:
+        return [add(add(mul(b22, c8), mul(b6, b6)), mul(mul(b2, b4), b6)), mul(b22, b2)]
+    quarter, b44, p = F.inv(4 % F.char), mul(b4, b4), F.char
+    return [sub(mul(quarter, mul(b22, b44)), mul(8 % p, mul(b4, b44))),
+            sub(mul(9 % p, mul(b2, b4)), mul(quarter, mul(b22, b2))),
+            F.neg(27 % p)]
 
 
 @functools.cache
@@ -624,18 +630,14 @@ class EllipticCurve:
         return b2, b4, b6, b8
 
     def discriminant(self):
-        """-b2^2 b8 - 8 b4^3 - 27 b6^2 + 9 b2 b4 b6, without the terms whose
-        constant vanishes: 8 in characteristic 2, 9 and 27 in characteristic 3."""
+        """_discriminant_poly at b6 in odd characteristic, at a6 in
+        characteristic 2."""
         F = self.field
-        sub, mul, p = F.sub, F.mul, F.char
         b2, b4, b6, b8 = self.b_invariants()
-        d = _scaled(F, 9, mul(b2, mul(b4, b6))) if p != 3 else 0
-        d = sub(d, mul(mul(b2, b2), b8))
-        if p != 2:
-            d = sub(d, _scaled(F, 8, mul(b4, mul(b4, b4))))
-        if p != 3:
-            d = sub(d, _scaled(F, 27, mul(b6, b6)))
-        return d
+        if F.char != 2:
+            return _peval(F, _discriminant_poly(F, b2, b4), b6)
+        a6 = self.a[4]
+        return _peval(F, _discriminant_poly(F, b2, b4, b6, F.add(b8, F.mul(b2, a6))), a6)
 
     @property
     def origin_place(self):
@@ -1033,11 +1035,10 @@ def _sweep(F):
     its order, as point_count's character sum.  In odd characteristic a
     prefix (a1, .., a4) costs b2 = a1^2 + 4 a2, b4 = a1 a3 + 2 a4 and a3^2,
     and each a6 one lookup in the _odd_row of (b2, b4) at b6 = a3^2 + 4 a6,
-    whose 0 marks a singular curve.  In characteristic 2, where b2 = a1^2,
-    b4 = a1 a3, b6 = a3^2 and b8 = b2 a6 + c8 (c8 its value at a6 = 0), the
-    discriminant b2^2 b8 + b6^2 + b2 b4 b6 is c1 a6 + c0 with c1 = b2^3, and
-    the trace columns of (a1, a3) are spanned into tables over a2, a4 and
-    a6, one XOR per curve."""
+    whose 0 marks a singular curve.  In characteristic 2 the discriminant
+    is c1 a6 + c0, _discriminant_poly of the prefix's invariants at a6 = 0,
+    and the trace columns of (a1, a3) are spanned into tables over a2, a4
+    and a6, one XOR per curve."""
     q, add, mul = F.size, F.add, F.mul
     if F.char != 2:
         four = [_scaled(F, 4, a) for a in range(q)]
@@ -1052,9 +1053,7 @@ def _sweep(F):
     tables = {}
     for prefix in _prefixes(F):
         a1, a2, a3, a4 = prefix
-        b2, b4, a33, c8 = _curve(F, prefix + (0,)).b_invariants()
-        b22 = mul(b2, b2)
-        c0, c1 = add(add(mul(b22, c8), mul(a33, a33)), mul(mul(b2, b4), a33)), mul(b22, b2)
+        c0, c1 = _discriminant_poly(F, *_curve(F, prefix + (0,)).b_invariants())
         if (a1, a3) not in tables:
             n, cols = _trace_columns(F, a1, a3)
             s = F.degree
@@ -1119,10 +1118,15 @@ def catalog_rows(entries):
 def degree_n_place_count(q, n1, n):
     """The number of degree-n places of a genus-1 curve over F_q with N1 = n1:
     N1 fixes every #E(F_(q^d)) (weil_count), and Moebius inversion of
-    #E(F_(q^n)) = sum over d | n of d * (degree-d places) gives the count.
-    The divisors d of n come in pairs (d, n / d) with d <= sqrt(n)."""
+    #E(F_(q^n)) = sum over d | n of d * (degree-d places) gives the count."""
+    return _place_count(n, {d: weil_count(q, n1, d) for d in divisors(n)})
+
+
+def divisors(n):
+    """The divisors of n >= 1 in increasing order, found in pairs (d, n / d)
+    with d <= sqrt(n)."""
     low = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
-    return _place_count(n, {d: weil_count(q, n1, d) for e in low for d in (e, n // e)})
+    return low + [n // d for d in reversed(low) if d * d != n]
 
 
 def _place_count(n, counts):

@@ -949,8 +949,10 @@ def extension(base, modulus):
 _extension_field = cache(ExtensionField)  # keyed by (base, modulus tuple)
 
 
-def canonical_extension(base, d):
-    """The canonical degree-d extension: modulus = find_irreducible(base, d)."""
+@cache
+def canonical_extension(base, d, /):
+    """The canonical degree-d extension: modulus = find_irreducible(base, d),
+    found once per (field, degree) (positional only, as prime_field)."""
     if d == 1:
         return base
     return extension(base, next(irreducibles(base, d)))

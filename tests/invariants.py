@@ -255,7 +255,7 @@ def verify_rr_basis(curve, basis):
 
 def _check_independent(curve, basis):
     Fq = curve.field
-    space = linalg.RowSpace(Fq, basis.dimension)
+    space = linalg.RowSpace(Fq)
     rank = 0
     for d in (1, 2, 3, 4, 5, 6):
         if Fq.size ** d > (1 << 16):

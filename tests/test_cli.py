@@ -1,4 +1,8 @@
 import json
+import os
+import resource
+import subprocess
+import sys
 
 import pytest
 
@@ -260,3 +264,19 @@ def test_verify_deeply_nested_file_exit3(tmp_path, capsys):
     deep.write_text("[" * 200000)
     code, out = run(capsys, "verify", "--file", str(deep))
     assert code == 3 and "status=bad-input" in out
+
+
+def test_bound_at_huge_n_under_a_memory_cap():
+    """bound at n = 10^12 compares exponents with the size limits in place of
+    building q^n, walks only the divisors of n and counts no degree-n place
+    of a curve that no case can use: under a 2 GiB address-space cap it
+    exits 0 within the timeout."""
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    done = subprocess.run([sys.executable, "-m", "curvemul.cli", "bound", "--q", "3",
+                           "--n", "1000000000000", "--depth", "3"],
+                          env=dict(os.environ, PYTHONPATH=src), preexec_fn=cap,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("status=ok q=3 n=1000000000000 value=")

@@ -198,7 +198,9 @@ def _invariants_reference(F, a):
 
 def test_invariants_match_full_expressions():
     # every tuple of the full sweeps, singular ones included: skipping the
-    # constants that vanish or are 1 mod p changes no value
+    # constants that vanish or are 1 mod p changes no value, and the one
+    # discriminant derivation (_discriminant_poly, in b6 for odd p and in a6
+    # for p = 2) equals the full expression on every tuple
     for p, d in ((2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3)):
         F = canonical_extension(prime_field(p), d)
         for a in weierstrass_family(F):
@@ -780,18 +782,35 @@ def test_place_count_over_the_divisors_of_n():
 
 
 def test_quadratic_solver_all_chars():
-    # every right-hand side b, for every a (a spread of a over F_(16^2)),
-    # against the solutions found by trying every y
+    """Every (a, b) against the solutions found by trying every y.  In
+    characteristic 2 at a != 0 the solver reads the F_2 echelon of
+    z -> z^2 + z (_as_basis), so this checks that echelon on every
+    right-hand side of F_4, F_16 and F_256, over F_2 and over F_16."""
     F16 = canonical_extension(F4, 2)
     for F in (F2, F3, F4, prime_field(5), canonical_extension(F3, 2), F16,
-              canonical_extension(F16, 2), canonical_extension(prime_field(5), 2),
-              canonical_extension(prime_field(7), 2)):
-        for a in range(0, F.size, max(1, F.size // 16)):
+              canonical_extension(F16, 2), gf.canonical_field(256),
+              canonical_extension(prime_field(5), 2), canonical_extension(prime_field(7), 2)):
+        for a in range(F.size):
             brute = {}
             for y in range(F.size):
                 brute.setdefault(F.add(F.mul(y, y), F.mul(a, y)), []).append(y)
             for b in range(F.size):
                 assert solve_quadratic(F, a, b) == brute.get(b, []), (F, a, b)
+
+
+def test_residue_field_reads_pull_no_irreducibles(monkeypatch):
+    """gf.canonical_extension is memoised per (field, degree), so repeated
+    Place.residue_field reads pull nothing from gf.irreducibles."""
+    place = next(ProjectiveLine(gf.canonical_field(9)).iter_places(4))
+    R = place.residue_field
+    pulls, irreducibles = [], gf.irreducibles
+
+    def counted(*args):
+        pulls.append(args)
+        return irreducibles(*args)
+    monkeypatch.setattr(gf, "irreducibles", counted)
+    assert all(place.residue_field is R for _ in range(1000))
+    assert R.size == 9 ** 4 and not pulls
 
 
 # --- local expansion machinery, exercised through principal divisors --------
